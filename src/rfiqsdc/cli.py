@@ -110,7 +110,6 @@ class RunConfig:
     n_cut: int = decoy.DEFAULT_N_CUT
     tight_z_bounds: bool = False
     y0_from_model: bool = False
-    workers: int = 1
 
     def channel(self, beta_rad: float = 0.0) -> ChannelSpec:
         return ChannelSpec(
@@ -148,7 +147,7 @@ _FLOAT_KEYS = {
     "atten_step_db", "atten_hi_db", "decoy_ratio1", "decoy_ratio2", "mu_lo",
     "mu_hi", "mu_rel_tol", "n_pulses", "u_sigma",
 }
-_INT_KEYS = {"mu_coarse_points", "n_cut", "workers"}
+_INT_KEYS = {"mu_coarse_points", "n_cut"}
 _BOOL_KEYS = {"tight_z_bounds", "y0_from_model"}
 _LIST_KEYS = {"beta_deg", "mu"}
 
@@ -202,8 +201,6 @@ def _validate(config: RunConfig):
         raise ConfigError(f"u_sigma: must be finite and >= 0, got {config.u_sigma}")
     if config.n_cut < 2:
         raise ConfigError(f"n_cut: must be >= 2, got {config.n_cut}")
-    if config.workers < 1:
-        raise ConfigError(f"workers: must be >= 1, got {config.workers}")
     if not config.beta_deg:
         raise ConfigError("beta_deg: at least one angle required")
 
@@ -337,7 +334,8 @@ def _cmd_scan(config: RunConfig, args, reporter: _Reporter) -> int:
         fixed_mus=fixed_mus,
         n_cut=config.n_cut,
         mode=mode,
-        workers=config.workers,
+        y0_from_model=config.y0_from_model,
+        tight_z_bounds=config.tight_z_bounds,
     )
     points = scan(scan_config)
     reporter.info(f"scan ({mode} intensity): {len(points)} grid points")
@@ -365,6 +363,8 @@ def _cmd_point(config: RunConfig, args, reporter: _Reporter) -> int:
         mu, point = optimize_mu(
             config.channel(), config.attenuation_db, beta,
             config.mu_search(), config.n_cut, config.decoy_ratios(),
+            y0_from_model=config.y0_from_model,
+            tight_z_bounds=config.tight_z_bounds,
         )
     reporter.info(
         f"A = {point.attenuation_db:g} dB, beta = {point.beta_deg:g} deg, mu = {mu:.6g}: "
@@ -385,6 +385,8 @@ def _cmd_cutoff(config: RunConfig, args, reporter: _Reporter) -> int:
     a_max, point = max_attenuation(
         config.channel(), beta, config.mu_search(), config.n_cut,
         config.decoy_ratios(), atten_hi_db=config.atten_hi_db,
+        y0_from_model=config.y0_from_model,
+        tight_z_bounds=config.tight_z_bounds,
     )
     if a_max is None:
         reporter.info("always insecure: no attenuation yields positive capacity")

@@ -1,9 +1,10 @@
 """Decoy-state estimation: LP bounds on single-photon yields and error rates.
 
 The observed multi-intensity gains constrain the per-photon-number yields
-through two-sided Poisson-weighted inequalities; small dense linear programs
+through two-sided Poisson-weighted inequalities; small linear programs
 extremize the single-photon quantities, and the resulting intervals compose
-into a conservative lower bound on the correlation invariant C.
+into a conservative lower bound on the correlation invariant C. All of a
+point's programs are solved together as one block-diagonal program.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.sparse import coo_array
 
 from .photonics import INTENSITY_LABELS, PAIR_LABELS, LegStatsTable, poisson_pn
 
@@ -23,11 +25,14 @@ __all__ = [
     "build_yield_lp",
     "build_error_lp",
     "solve_lp",
+    "solve_lps",
     "estimate_bounds",
     "c_lower_bound",
 ]
 
 DEFAULT_N_CUT = 10
+
+_SENSES = ("minimize", "maximize")
 
 
 class InfeasibleError(RuntimeError):
@@ -36,7 +41,7 @@ class InfeasibleError(RuntimeError):
 
 @dataclass
 class LinearProgram:
-    """A small dense LP: extremize ``objective . x`` under inequality rows and boxes.
+    """A small LP: extremize ``objective . x`` under inequality rows and boxes.
 
     ``constraints`` is a list of (coefficients, relation, bound) with relation
     one of "<=" and ">=".
@@ -48,7 +53,7 @@ class LinearProgram:
     variable_bounds: list = field(default_factory=list)
 
     def __post_init__(self):
-        if self.sense not in ("minimize", "maximize"):
+        if self.sense not in _SENSES:
             raise ValueError(f"bad sense {self.sense!r}")
         n = len(self.objective)
         for coeffs, rel, _ in self.constraints:
@@ -60,19 +65,40 @@ class LinearProgram:
             raise ValueError("variable bound dimension mismatch")
 
 
-def _two_sided_rows(observations, n_cut, fluctuation):
+def _poisson_weights(intensities, n_cut):
+    """Row k holds P_n(intensities[k]) for n = 0..n_cut."""
+    return np.array([[poisson_pn(intensity, n) for n in range(n_cut + 1)] for intensity in intensities])
+
+
+def _two_sided_rows(weights, observed, fluctuation):
     """Two-sided decoy constraints: the Poisson-weighted sum of the variables
     must bracket each observed value o up to the truncated tail mass, widened
     by ``fluctuation * sqrt(o)`` on both sides for the statistical fluctuation
-    of o (zero for exact observations)."""
+    of o (zero for exact observations). ``weights`` row k weighs ``observed[k]``."""
     rows = []
-    for intensity, observed in observations:
-        p = np.array([poisson_pn(intensity, n) for n in range(n_cut + 1)])
+    for p, value in zip(weights, observed):
         tail = 1.0 - p.sum()
-        spread = fluctuation * math.sqrt(max(observed, 0.0))
-        rows.append((p, "<=", observed + spread))
-        rows.append((p, ">=", observed - spread - tail))
+        spread = fluctuation * math.sqrt(max(value, 0.0))
+        rows.append((p, "<=", value + spread))
+        rows.append((p, ">=", value - spread - tail))
     return rows
+
+
+def _unit_lp(n_var, target, rows, sense) -> LinearProgram:
+    """Extremize variable ``target`` of ``n_var`` variables boxed to [0, 1]."""
+    objective = np.zeros(n_var)
+    objective[target] = 1.0
+    return LinearProgram(sense=sense, objective=objective, constraints=rows, variable_bounds=[(0.0, 1.0)] * n_var)
+
+
+def _observation_rows(observations, n_cut, fluctuation):
+    """Two-sided rows for (intensity, observed value) pairs."""
+    if len({i for i, _ in observations}) < 2:
+        raise ValueError("at least two distinct intensities required")
+    if n_cut < 2:
+        raise ValueError(f"n_cut must be >= 2, got {n_cut}")
+    intensities, observed = zip(*observations)
+    return _two_sided_rows(_poisson_weights(intensities, n_cut), observed, fluctuation)
 
 
 def build_yield_lp(
@@ -83,17 +109,10 @@ def build_yield_lp(
     ``fluctuation`` is u / sqrt(N): each gain Q is known to within
     Q +- fluctuation * sqrt(Q). Zero treats the gains as exact.
     """
-    if len({i for i, _ in observations}) < 2:
-        raise ValueError("at least two distinct intensities required")
-    if n_cut < 2:
-        raise ValueError(f"n_cut must be >= 2, got {n_cut}")
+    rows = _observation_rows(observations, n_cut, fluctuation)
     if not 0 <= target_n <= n_cut:
         raise ValueError(f"target_n must be in [0, {n_cut}], got {target_n}")
-    objective = np.zeros(n_cut + 1)
-    objective[target_n] = 1.0
-    rows = _two_sided_rows(observations, n_cut, fluctuation)
-    bounds = [(0.0, 1.0)] * (n_cut + 1)
-    return LinearProgram(sense=sense, objective=objective, constraints=rows, variable_bounds=bounds)
+    return _unit_lp(n_cut + 1, target_n, rows, sense)
 
 
 def build_error_lp(observations, n_cut: int, sense: str, fluctuation: float = 0.0) -> LinearProgram:
@@ -103,43 +122,63 @@ def build_error_lp(observations, n_cut: int, sense: str, fluctuation: float = 0.
     error-weighted yields z_n, each boxed to [0, 1]. ``fluctuation`` widens the
     observations as in ``build_yield_lp``.
     """
-    if len({i for i, _ in observations}) < 2:
-        raise ValueError("at least two distinct intensities required")
-    if n_cut < 2:
-        raise ValueError(f"n_cut must be >= 2, got {n_cut}")
-    objective = np.zeros(n_cut + 1)
-    objective[1] = 1.0
-    rows = _two_sided_rows(observations, n_cut, fluctuation)
-    bounds = [(0.0, 1.0)] * (n_cut + 1)
-    return LinearProgram(sense=sense, objective=objective, constraints=rows, variable_bounds=bounds)
+    return _unit_lp(n_cut + 1, 1, _observation_rows(observations, n_cut, fluctuation), sense)
 
 
-def solve_lp(lp: LinearProgram) -> tuple[float, np.ndarray]:
-    """Solve a boxed LP to high accuracy; deterministic for identical input.
+def _stacked_rows(lps, col0, n_total):
+    """Every constraint row of ``lps`` as one sparse block-diagonal ``A_ub x <= b_ub``.
 
-    Rows are normalized to unit infinity-norm first, since the Poisson weights
-    span many orders of magnitude.
+    Each row is divided by its infinity norm, since the Poisson weights span
+    many orders of magnitude; ">=" rows are then negated into "<=" rows.
     """
-    sign = 1.0 if lp.sense == "minimize" else -1.0
-    a_ub, b_ub = [], []
-    for coeffs, rel, bound in lp.constraints:
-        coeffs = np.asarray(coeffs, dtype=float)
-        scale = np.max(np.abs(coeffs))
-        if scale == 0.0:
-            scale = 1.0
-        if rel == "<=":
-            a_ub.append(coeffs / scale)
-            b_ub.append(bound / scale)
-        else:
-            a_ub.append(-coeffs / scale)
-            b_ub.append(-bound / scale)
+    coeffs, bound, flip, row_col0 = [], [], [], []
+    for lp, c0 in zip(lps, col0):
+        for c, rel, b in lp.constraints:
+            coeffs.append(c)
+            bound.append(b)
+            flip.append(rel == ">=")
+            row_col0.append(c0)
+    lengths = np.array([len(c) for c in coeffs])
+    starts = np.cumsum(lengths) - lengths
+    data = np.concatenate(coeffs).astype(float)
+    scale = np.maximum.reduceat(np.abs(data), starts)
+    scale[scale == 0.0] = 1.0
+    data = data / np.repeat(scale, lengths)
+    b_ub = np.asarray(bound, dtype=float) / scale
+    flip = np.asarray(flip)
+    np.negative(data, out=data, where=np.repeat(flip, lengths))
+    np.negative(b_ub, out=b_ub, where=flip)
+    row = np.repeat(np.arange(len(coeffs)), lengths)
+    col = np.arange(len(data)) - np.repeat(starts - np.asarray(row_col0), lengths)
+    keep = data != 0.0
+    a_ub = coo_array((data[keep], (row[keep], col[keep])), shape=(len(coeffs), n_total))
+    return a_ub, b_ub
+
+
+def solve_lps(lps) -> list[tuple[float, np.ndarray]]:
+    """Solve independent boxed LPs as one block-diagonal program; deterministic
+    for identical input.
+
+    The blocks share no variable and no row, so each block's part of the
+    stacked optimum is that block's own optimum, and the stacked program is
+    infeasible exactly when some block is. Returns (optimum, x) per LP.
+    """
+    widths = np.array([len(lp.objective) for lp in lps])
+    col0 = np.cumsum(widths) - widths
+    n_total = int(widths.sum())
+    objective = np.concatenate(
+        [np.asarray(lp.objective, dtype=float) * (1.0 if lp.sense == "minimize" else -1.0) for lp in lps]
+    )
+    a_ub = b_ub = None
+    if any(lp.constraints for lp in lps):
+        a_ub, b_ub = _stacked_rows(lps, col0, n_total)
     # presolve rejects the nearly-degenerate two-sided rows that arise when the
     # truncated Poisson tail underflows; the bare solver handles them fine
     res = linprog(
-        sign * lp.objective,
-        A_ub=np.array(a_ub) if a_ub else None,
-        b_ub=np.array(b_ub) if b_ub else None,
-        bounds=lp.variable_bounds,
+        objective,
+        A_ub=a_ub,
+        b_ub=b_ub,
+        bounds=[b for lp in lps for b in lp.variable_bounds],
         method="highs",
         options={"presolve": False},
     )
@@ -147,7 +186,16 @@ def solve_lp(lp: LinearProgram) -> tuple[float, np.ndarray]:
         raise InfeasibleError("inconsistent observations: no feasible yield decomposition")
     if res.status != 0:
         raise RuntimeError(f"LP solver failure (status {res.status}): {res.message}")
-    return sign * res.fun, res.x
+    solutions = []
+    for lp, c0, width in zip(lps, col0, widths):
+        x = res.x[c0 : c0 + width]
+        solutions.append((float(np.dot(lp.objective, x)), x))
+    return solutions
+
+
+def solve_lp(lp: LinearProgram) -> tuple[float, np.ndarray]:
+    """Solve one boxed LP: the single-block case of ``solve_lps``."""
+    return solve_lps([lp])[0]
 
 
 @dataclass
@@ -170,23 +218,17 @@ def _interval(lp_min_val, lp_max_val):
     return (lo, hi)
 
 
-def _coupled_error_lp(q_obs, qe_obs, n_cut, sense, fluctuation):
-    """Joint program with variables (Y_0..Y_ncut, z_0..z_ncut) and z_n <= Y_n."""
-    n_var = n_cut + 1
-    objective = np.zeros(2 * n_var)
-    objective[n_var + 1] = 1.0
-    rows = []
-    for (coeffs, rel, bound) in _two_sided_rows(q_obs, n_cut, fluctuation):
-        rows.append((np.concatenate([coeffs, np.zeros(n_var)]), rel, bound))
-    for (coeffs, rel, bound) in _two_sided_rows(qe_obs, n_cut, fluctuation):
-        rows.append((np.concatenate([np.zeros(n_var), coeffs]), rel, bound))
+def _coupled_error_rows(q_rows, qe_rows, n_var):
+    """Rows over (Y_0..Y_ncut, z_0..z_ncut): the gain and error-gain rows, plus z_n <= Y_n."""
+    pad = np.zeros(n_var)
+    rows = [(np.concatenate([coeffs, pad]), rel, bound) for coeffs, rel, bound in q_rows]
+    rows += [(np.concatenate([pad, coeffs]), rel, bound) for coeffs, rel, bound in qe_rows]
     for n in range(n_var):
         coupling = np.zeros(2 * n_var)
         coupling[n_var + n] = 1.0
         coupling[n] = -1.0
         rows.append((coupling, "<=", 0.0))
-    bounds = [(0.0, 1.0)] * (2 * n_var)
-    return LinearProgram(sense=sense, objective=objective, constraints=rows, variable_bounds=bounds)
+    return rows
 
 
 def _e1_interval(z1_lo, z1_hi, y1_lo, y1_hi):
@@ -224,30 +266,33 @@ def estimate_bounds(
     ``tight_z_bounds`` switches the error program to the coupled form with
     z_n <= Y_n instead of the plain z_n <= 1 box. ``fluctuation`` (u / sqrt(N),
     see ``ChannelSpec``) widens every observed Q and Q*E by its statistical
-    fluctuation; the default zero treats the observations as exact.
+    fluctuation; the default zero treats the observations as exact. The
+    programs of all pairs are solved in one ``solve_lps`` call; any infeasible
+    program raises ``InfeasibleError``.
     """
-    y1, e1 = {}, {}
-    y0 = (0.0, 1.0)
+    n_var = n_cut + 1
+    weights = _poisson_weights([intensities[k] for k in INTENSITY_LABELS], n_cut)
+    lps = []
     for pair_label in PAIR_LABELS:
-        q_obs = [(intensities[k], table.entries[(k, pair_label)][0]) for k in INTENSITY_LABELS]
-        qe_obs = [
-            (intensities[k], table.entries[(k, pair_label)][0] * table.entries[(k, pair_label)][1])
-            for k in INTENSITY_LABELS
-        ]
-        y1_lo, _ = solve_lp(build_yield_lp(q_obs, n_cut, 1, "minimize", fluctuation))
-        y1_hi, _ = solve_lp(build_yield_lp(q_obs, n_cut, 1, "maximize", fluctuation))
-        y1[pair_label] = _interval(y1_lo, y1_hi)
+        stats = [table.entries[(k, pair_label)] for k in INTENSITY_LABELS]
+        q_rows = _two_sided_rows(weights, [q for q, _ in stats], fluctuation)
+        qe_rows = _two_sided_rows(weights, [q * e for q, e in stats], fluctuation)
+        lps += [_unit_lp(n_var, 1, q_rows, sense) for sense in _SENSES]
         if tight_z_bounds:
-            z1_lo, _ = solve_lp(_coupled_error_lp(q_obs, qe_obs, n_cut, "minimize", fluctuation))
-            z1_hi, _ = solve_lp(_coupled_error_lp(q_obs, qe_obs, n_cut, "maximize", fluctuation))
+            error_rows = _coupled_error_rows(q_rows, qe_rows, n_var)
+            lps += [_unit_lp(2 * n_var, n_var + 1, error_rows, sense) for sense in _SENSES]
         else:
-            z1_lo, _ = solve_lp(build_error_lp(qe_obs, n_cut, "minimize", fluctuation))
-            z1_hi, _ = solve_lp(build_error_lp(qe_obs, n_cut, "maximize", fluctuation))
-        z1_lo, z1_hi = _interval(z1_lo, z1_hi)
+            lps += [_unit_lp(n_var, 1, qe_rows, sense) for sense in _SENSES]
+        if pair_label == "ZZ":
+            lps += [_unit_lp(n_var, 0, q_rows, sense) for sense in _SENSES]
+    values = iter([value for value, _ in solve_lps(lps)])
+
+    y1, e1 = {}, {}
+    for pair_label in PAIR_LABELS:
+        y1[pair_label] = _interval(next(values), next(values))
+        z1_lo, z1_hi = _interval(next(values), next(values))
         e1[pair_label] = _e1_interval(z1_lo, z1_hi, *y1[pair_label])
         if pair_label == "ZZ":
-            y0_lo, _ = solve_lp(build_yield_lp(q_obs, n_cut, 0, "minimize", fluctuation))
-            y0_hi, _ = solve_lp(build_yield_lp(q_obs, n_cut, 0, "maximize", fluctuation))
-            y0 = _interval(y0_lo, y0_hi)
+            y0 = _interval(next(values), next(values))
     c_lower = c_lower_bound([e1[p] for p in ("XX", "XY", "YX", "YY")])
     return BoundsSet(y1=y1, y0=y0, e1=e1, c_lower=c_lower)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -56,7 +55,8 @@ class ScanConfig:
     fixed_mus: tuple = ()  # used by fixed-intensity scans
     n_cut: int = decoy.DEFAULT_N_CUT
     mode: str = "optimized"  # "optimized" | "fixed"
-    workers: int = 1
+    y0_from_model: bool = False
+    tight_z_bounds: bool = False
 
     def __post_init__(self):
         r1, r2 = self.decoy_ratios
@@ -68,8 +68,6 @@ class ScanConfig:
             raise ValueError(f"bad scan mode {self.mode!r}")
         if self.mode == "fixed" and not self.fixed_mus:
             raise ValueError("fixed-intensity scan requires fixed_mus")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
 
     def attenuation_grid(self):
         n = int(math.floor((self.atten_stop_db - self.atten_start_db) / self.atten_step_db + 1e-9)) + 1
@@ -206,15 +204,21 @@ def optimize_mu(
     search: MuSearchSpec = MuSearchSpec(),
     n_cut: int = decoy.DEFAULT_N_CUT,
     decoy_ratios: tuple = DEFAULT_DECOY_RATIOS,
+    y0_from_model: bool = False,
+    tight_z_bounds: bool = False,
 ) -> tuple[float, PointResult]:
     """Best signal intensity at one grid point.
 
     Coarse logarithmic grid, then golden-section refinement on the bracketing
-    interval; ties break toward smaller mu.
+    interval; ties break toward smaller mu. ``y0_from_model`` and
+    ``tight_z_bounds`` reach every evaluation, as in ``evaluate_point``.
     """
 
     def cap(mu):
-        return evaluate_point(channel, attenuation_db, beta_rad, mu, n_cut, decoy_ratios)
+        return evaluate_point(
+            channel, attenuation_db, beta_rad, mu, n_cut, decoy_ratios,
+            y0_from_model=y0_from_model, tight_z_bounds=tight_z_bounds,
+        )
 
     if search.mu_lo == search.mu_hi or search.coarse_points == 1:
         best = cap(search.mu_lo)
@@ -251,36 +255,23 @@ def optimize_mu(
 
 
 def scan(config: ScanConfig) -> list[PointResult]:
-    """Evaluate every grid point; never aborts on a single point's failure.
-
-    Grid points are independent; with ``workers > 1`` they are evaluated
-    concurrently, and results are always ordered by grid index.
-    """
-    tasks = []
+    """Evaluate every grid point in grid order; never aborts on a single point's failure."""
+    estimator = dict(y0_from_model=config.y0_from_model, tight_z_bounds=config.tight_z_bounds)
+    points = []
     for attenuation in config.attenuation_grid():
         for beta in config.betas_rad:
             if config.mode == "fixed":
                 for mu in config.fixed_mus:
-                    tasks.append((attenuation, beta, mu))
+                    points.append(evaluate_point(
+                        config.channel, attenuation, beta, mu, config.n_cut, config.decoy_ratios, **estimator
+                    ))
             else:
-                tasks.append((attenuation, beta, None))
-
-    def run_one(task):
-        attenuation, beta, mu = task
-        if mu is None:
-            _, result = optimize_mu(
-                config.channel, attenuation, beta, config.mu_search, config.n_cut, config.decoy_ratios
-            )
-        else:
-            result = evaluate_point(
-                config.channel, attenuation, beta, mu, config.n_cut, config.decoy_ratios
-            )
-        return result
-
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            return list(pool.map(run_one, tasks))
-    return [run_one(t) for t in tasks]
+                _, result = optimize_mu(
+                    config.channel, attenuation, beta, config.mu_search, config.n_cut, config.decoy_ratios,
+                    **estimator,
+                )
+                points.append(result)
+    return points
 
 
 def max_attenuation(
@@ -291,23 +282,29 @@ def max_attenuation(
     decoy_ratios: tuple = DEFAULT_DECOY_RATIOS,
     atten_hi_db: float = 20.0,
     width_db: float = 0.01,
+    y0_from_model: bool = False,
+    tight_z_bounds: bool = False,
 ) -> tuple[float | None, PointResult | None]:
     """Largest attenuation with positive optimized capacity, by bisection.
 
     Returns (None, None) when no attenuation in [0, atten_hi_db] yields a
-    positive capacity.
+    positive capacity. ``y0_from_model`` and ``tight_z_bounds`` reach every
+    evaluation, as in ``evaluate_point``.
     """
 
     def best(attenuation):
-        return optimize_mu(channel, attenuation, beta_rad, search, n_cut, decoy_ratios)[1]
+        return optimize_mu(
+            channel, attenuation, beta_rad, search, n_cut, decoy_ratios,
+            y0_from_model=y0_from_model, tight_z_bounds=tight_z_bounds,
+        )[1]
 
-    lo_result = best(0.0)
-    if lo_result.capacity <= 0.0:
+    lo_point = best(0.0)
+    if lo_point.capacity <= 0.0:
         return None, None
     lo, hi = 0.0, atten_hi_db
-    lo_point = lo_result
-    if best(hi).capacity > 0.0:
-        return hi, best(hi)
+    hi_point = best(hi)
+    if hi_point.capacity > 0.0:
+        return hi, hi_point
     while hi - lo > width_db:
         mid = (lo + hi) / 2.0
         result = best(mid)

@@ -149,7 +149,7 @@ def test_criterion_04_fixed_intensity_curve_shape():
     mus = (0.1, 0.05, 0.01)
     config = ScanConfig(
         atten_start_db=0.0, atten_stop_db=12.0, atten_step_db=0.5,
-        betas_rad=(0.0,), fixed_mus=mus, mode="fixed", workers=4,
+        betas_rad=(0.0,), fixed_mus=mus, mode="fixed",
     )
     points = scan(config)
     curves = {mu: [] for mu in mus}

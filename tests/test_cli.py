@@ -106,6 +106,11 @@ class TestExitCodes:
     def test_unknown_key_exits_2(self):
         assert run(["point", "--set", "bogus=1"]) == EXIT_CONFIG
 
+    def test_workers_key_rejected(self, capsys):
+        # scans run serially; the former thread-pool size is no longer a key
+        assert run(["scan", "--mode", "fixed", "--set", "mu=0.05", "--set", "workers=2"]) == EXIT_CONFIG
+        assert "unknown configuration key: workers" in capsys.readouterr().err
+
     def test_fixed_scan_without_mu_exits_2(self):
         assert run(["scan", "--mode", "fixed", "--quiet"]) == EXIT_CONFIG
 
@@ -137,9 +142,22 @@ class TestPointCommand:
         csv_capacity = float(lines[1].split(",")[4])
         assert csv_capacity == pytest.approx(point["capacity_bit_per_pulse"], rel=1e-8)
 
+    def test_optimized_point_honours_y0_from_model(self, tmp_path):
+        rows = {}
+        for name, mu_entries in (("fixed", ["mu=0.05"]), ("optimized", ["mu_lo=0.05", "mu_hi=0.05"])):
+            out = tmp_path / f"{name}.csv"
+            args = ["point", "--quiet", "--set", "attenuation_db=8", "--set", "y0_from_model=true"]
+            for entry in mu_entries:
+                args += ["--set", entry]
+            assert run([*args, "--out", str(out)]) == EXIT_OK
+            rows[name] = out.read_text().splitlines()[1].split(",")
+        assert rows["fixed"][4] == "5.14420340e-05"
+        assert rows["optimized"][4] == rows["fixed"][4]
+
 
 class TestFluctuationParameters:
-    """``n_pulses`` and ``u_sigma`` reach the estimator on every command path."""
+    """``n_pulses`` and ``u_sigma`` reach the estimator on every command path,
+    and so do ``y0_from_model`` and ``tight_z_bounds``."""
 
     def _point_row(self, tmp_path, *entries):
         out = tmp_path / "point.csv"
@@ -178,16 +196,21 @@ class TestFluctuationParameters:
         seen = []
 
         def recording_point(channel, attenuation_db, beta_rad, mu, *args, **kwargs):
-            seen.append((channel.n_pulses, channel.u_sigma))
+            seen.append((
+                channel.n_pulses, channel.u_sigma, kwargs.get("y0_from_model"), kwargs.get("tight_z_bounds")
+            ))
             capacity = 1e-6 if attenuation_db < 5.0 else -1e-6
             return PointResult(attenuation_db, 0.0, beta_rad, mu, capacity, *[0.0] * 9)
 
         monkeypatch.setattr(cli, "evaluate_point", recording_point)
         monkeypatch.setattr(pipeline, "evaluate_point", recording_point)
-        code = run([*argv, "--quiet", "--set", "n_pulses=3e9", "--set", "u_sigma=2.5"])
+        code = run([
+            *argv, "--quiet", "--set", "n_pulses=3e9", "--set", "u_sigma=2.5",
+            "--set", "y0_from_model=true", "--set", "tight_z_bounds=true",
+        ])
         assert code == EXIT_OK
         assert seen
-        assert set(seen) == {(3e9, 2.5)}
+        assert set(seen) == {(3e9, 2.5, True, True)}
 
 
 class TestScanCommand:

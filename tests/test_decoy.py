@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from oracle_utils import true_n_photon_stats, vertex_enumeration_optimum
+from rfiqsdc import decoy, photonics
 from rfiqsdc.decoy import (
     DEFAULT_N_CUT,
     InfeasibleError,
@@ -15,8 +16,10 @@ from rfiqsdc.decoy import (
     c_lower_bound,
     estimate_bounds,
     solve_lp,
+    solve_lps,
 )
-from rfiqsdc.photonics import BasisPair, ChannelSpec, ba_observed, poisson_pn
+from rfiqsdc.photonics import BasisPair, ChannelSpec, LegStatsTable, ba_observed, poisson_pn
+from rfiqsdc.pipeline import evaluate_point
 
 
 def make_observations(spec, mu, what="gain"):
@@ -150,6 +153,49 @@ class TestSolver:
         assert np.array_equal(x1, x2)
 
 
+class TestBatchedSolve:
+    def test_mixed_blocks_match_vertex_enumeration(self):
+        # one call over minimize and maximize blocks of 2, 3 and 4 variables;
+        # each row holds at an interior point, so every block is feasible
+        rng = np.random.default_rng(7)
+        lps = []
+        for width in (2, 3, 4, 3, 2, 4):
+            inside = rng.uniform(0.2, 0.8, size=width)
+            rows = []
+            for _ in range(width - 1):
+                coeffs = rng.uniform(-1.0, 1.0, size=width)
+                rel = rng.choice(["<=", ">="])
+                slack = rng.uniform(0.0, 0.3)
+                level = float(coeffs @ inside)
+                rows.append((coeffs, rel, level + slack if rel == "<=" else level - slack))
+            sense = "minimize" if len(lps) % 2 == 0 else "maximize"
+            lps.append(LinearProgram(
+                sense=sense,
+                objective=rng.uniform(-1.0, 1.0, size=width),
+                constraints=rows,
+                variable_bounds=[(0.0, 1.0)] * width,
+            ))
+        solutions = solve_lps(lps)
+        assert len(solutions) == len(lps)
+        for lp, (value, x) in zip(lps, solutions):
+            assert len(x) == len(lp.objective)
+            reference = vertex_enumeration_optimum(lp.objective, lp.constraints, lp.variable_bounds, lp.sense)
+            assert value == pytest.approx(reference, abs=1e-9)
+            assert value == pytest.approx(float(lp.objective @ x), abs=1e-12)
+
+    def test_one_infeasible_block_fails_the_batch(self):
+        feasible = LinearProgram(sense="maximize", objective=np.array([1.0]), variable_bounds=[(0.0, 1.0)])
+        infeasible = LinearProgram(
+            sense="minimize",
+            objective=np.array([1.0, 0.0]),
+            constraints=[(np.array([1.0, 1.0]), ">=", 3.0)],
+            variable_bounds=[(0.0, 1.0)] * 2,
+        )
+        assert solve_lps([feasible])[0][0] == pytest.approx(1.0)
+        with pytest.raises(InfeasibleError):
+            solve_lps([feasible, infeasible])
+
+
 class TestCLowerBound:
     def test_perfect_case(self):
         assert c_lower_bound([(0, 0), (0.5, 0.5), (0.5, 0.5), (0, 0)]) == pytest.approx(2.0)
@@ -241,6 +287,49 @@ class TestEstimateBounds:
             lo, hi = bounds.y1["ZZ"]
             widths.append(hi - lo)
         assert widths[2] <= widths[0] + 1e-12
+
+    @pytest.mark.parametrize("u_sigma", [0.0, 5.0])
+    @pytest.mark.parametrize("tight", [False, True], ids=["plain", "tight"])
+    @pytest.mark.parametrize("beta_deg", [0.0, 45.0])
+    def test_batch_matches_separate_solves(self, monkeypatch, beta_deg, tight, u_sigma):
+        batches = []
+
+        def recording_solve_lps(lps):
+            solutions = solve_lps(lps)
+            batches.append((lps, solutions))
+            return solutions
+
+        monkeypatch.setattr(decoy, "solve_lps", recording_solve_lps)
+        for atten in (2.0, 5.0, 8.0, 11.0, 12.5):
+            spec = ChannelSpec(attenuation_db=atten, beta_rad=math.radians(beta_deg), u_sigma=u_sigma)
+            _, intensities, table = make_observations(spec, 0.015)
+            estimate_bounds(table, intensities, DEFAULT_N_CUT, tight_z_bounds=tight, fluctuation=spec.fluctuation)
+        monkeypatch.undo()
+        assert len(batches) == 5
+        for lps, solutions in batches:
+            # 5 pairs x {Y1, z1} x {min, max}, plus the ZZ vacuum yield
+            assert len(lps) == 22
+            for lp, (value, _) in zip(lps, solutions):
+                separate, _ = solve_lp(lp)
+                assert value == pytest.approx(separate, rel=1e-10, abs=1e-15)
+
+    def test_inconsistent_observations_are_infeasible(self, monkeypatch):
+        spec = ChannelSpec(attenuation_db=6.0)
+        _, intensities, table = make_observations(spec, 0.05)
+        # the weakest decoy reports a hundred times the signal gain, which no
+        # non-negative yields bounded by 1 can produce
+        entries = dict(table.entries)
+        q_signal, e_signal = entries[("signal", "XX")]
+        entries[("decoy2", "XX")] = (100.0 * q_signal, e_signal)
+        broken = LegStatsTable(entries=entries, q_ba_signal=table.q_ba_signal)
+        with pytest.raises(InfeasibleError, match="inconsistent observations"):
+            estimate_bounds(broken, intensities, DEFAULT_N_CUT, fluctuation=spec.fluctuation)
+
+        monkeypatch.setattr(photonics, "ba_observed", lambda *_: broken)
+        point = evaluate_point(ChannelSpec(), 6.0, 0.0, 0.05)
+        assert point.capacity == 0.0
+        assert len(point.flags) == 1
+        assert point.flags[0].startswith("lp_infeasible: inconsistent observations")
 
     def test_determinism(self):
         spec = ChannelSpec(attenuation_db=6.0, beta_rad=0.5)

@@ -5,7 +5,7 @@ import math
 import pytest
 from scipy.optimize import linprog
 
-from rfiqsdc import decoy
+from rfiqsdc import decoy, pipeline
 from rfiqsdc.photonics import ChannelSpec
 from rfiqsdc.pipeline import (
     MuSearchSpec,
@@ -124,19 +124,10 @@ class TestScan:
         )
         assert scan(config) == []
 
-    def test_parallel_matches_serial(self):
-        base = dict(
-            atten_start_db=2.0, atten_stop_db=8.0, atten_step_db=3.0,
-            betas_rad=(0.0, math.radians(45.0)), fixed_mus=(0.05,), mode="fixed",
-        )
-        serial = scan(ScanConfig(**base, workers=1))
-        parallel = scan(ScanConfig(**base, workers=4))
-        assert serial == parallel
-
     def test_optimized_capacity_monotone_in_attenuation(self):
         config = ScanConfig(
             atten_start_db=2.0, atten_stop_db=10.0, atten_step_db=2.0,
-            betas_rad=(0.0,), mode="optimized", mu_search=FAST_SEARCH, workers=4,
+            betas_rad=(0.0,), mode="optimized", mu_search=FAST_SEARCH,
         )
         points = scan(config)
         for earlier, later in zip(points, points[1:]):
@@ -172,6 +163,21 @@ class TestMaxAttenuation:
         )
         assert a_max is None
         assert point is None
+
+    def test_secure_upper_end_optimized_once(self, monkeypatch):
+        calls = []
+
+        def recording_optimize(channel, attenuation_db, *args, **kwargs):
+            calls.append(attenuation_db)
+            return optimize_mu(channel, attenuation_db, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "optimize_mu", recording_optimize)
+        a_max, point = max_attenuation(
+            ChannelSpec(), 0.0, MuSearchSpec(coarse_points=3, rel_tol=1e-1), atten_hi_db=2.0
+        )
+        assert calls == [0.0, 2.0]
+        assert a_max == 2.0
+        assert point.capacity > 0.0
 
     def test_cutoff_bracket(self):
         search = MuSearchSpec(coarse_points=9, rel_tol=1e-2)
