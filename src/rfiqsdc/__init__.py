@@ -10,6 +10,7 @@ evaluation, intensity optimization, scans), ``cli`` (command-line front end).
 from .decoy import BoundsSet, estimate_bounds
 from .photonics import ChannelSpec, LegStatsTable, ba_observed, bab_stats
 from .pipeline import (
+    EstimatorSpec,
     MuSearchSpec,
     PointResult,
     ScanConfig,
@@ -21,7 +22,6 @@ from .pipeline import (
 from .security import (
     BellDiagonalAttack,
     CapacityInputs,
-    SecurityEstimate,
     eve_info_bound,
     holevo_oracle,
     secrecy_capacity,
@@ -37,12 +37,12 @@ __all__ = [
     "BoundsSet",
     "estimate_bounds",
     "BellDiagonalAttack",
-    "SecurityEstimate",
     "CapacityInputs",
     "eve_info_bound",
     "holevo_oracle",
     "secrecy_capacity",
     "MuSearchSpec",
+    "EstimatorSpec",
     "ScanConfig",
     "PointResult",
     "evaluate_point",

@@ -10,13 +10,16 @@ import argparse
 import json
 import math
 import sys
+import traceback
 from dataclasses import dataclass, fields
+from itertools import combinations
 
 import numpy as np
 
 from . import decoy, security
 from .photonics import ChannelSpec
 from .pipeline import (
+    EstimatorSpec,
     MuSearchSpec,
     PointResult,
     ScanConfig,
@@ -57,9 +60,13 @@ class ConfigError(ValueError):
 
 def _parse_float(key, raw):
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigError(f"{key}: not a number: {raw!r}") from None
+    # n_pulses = inf is the asymptotic model; no other key has a meaningful inf
+    if not (math.isfinite(value) or (key == "n_pulses" and value == math.inf)):
+        raise ConfigError(f"{key}: not a finite number: {raw!r}")
+    return value
 
 
 def _parse_int(key, raw):
@@ -94,22 +101,22 @@ class RunConfig:
     u_sigma: float = ChannelSpec.u_sigma
     # grids
     attenuation_db: float = 10.0  # point mode
-    atten_start_db: float = 0.0
-    atten_stop_db: float = 12.0
-    atten_step_db: float = 0.5
+    atten_start_db: float = ScanConfig.atten_start_db
+    atten_stop_db: float = ScanConfig.atten_stop_db
+    atten_step_db: float = ScanConfig.atten_step_db
     atten_hi_db: float = 20.0  # cutoff bracket
     # intensities
     mu: tuple = ()  # fixed-mode signal intensities; empty means optimize
-    decoy_ratio1: float = 0.05
-    decoy_ratio2: float = 0.01
-    mu_lo: float = 1e-3
-    mu_hi: float = 0.5
-    mu_coarse_points: int = 25
-    mu_rel_tol: float = 1e-4
+    decoy_ratio1: float = EstimatorSpec.decoy_ratios[0]
+    decoy_ratio2: float = EstimatorSpec.decoy_ratios[1]
+    mu_lo: float = MuSearchSpec.mu_lo
+    mu_hi: float = MuSearchSpec.mu_hi
+    mu_coarse_points: int = MuSearchSpec.coarse_points
+    mu_rel_tol: float = MuSearchSpec.rel_tol
     # estimation
-    n_cut: int = decoy.DEFAULT_N_CUT
-    tight_z_bounds: bool = False
-    y0_from_model: bool = False
+    n_cut: int = EstimatorSpec.n_cut
+    tight_z_bounds: bool = EstimatorSpec.tight_z_bounds
+    y0_from_model: bool = EstimatorSpec.y0_from_model
 
     def channel(self, beta_rad: float = 0.0) -> ChannelSpec:
         return ChannelSpec(
@@ -134,11 +141,34 @@ class RunConfig:
             rel_tol=self.mu_rel_tol,
         )
 
+    def estimator(self) -> EstimatorSpec:
+        return EstimatorSpec(
+            n_cut=self.n_cut,
+            decoy_ratios=(self.decoy_ratio1, self.decoy_ratio2),
+            tight_z_bounds=self.tight_z_bounds,
+            y0_from_model=self.y0_from_model,
+        )
+
     def betas_rad(self) -> tuple:
         return tuple(math.radians(b) for b in self.beta_deg)
 
-    def decoy_ratios(self) -> tuple:
-        return (self.decoy_ratio1, self.decoy_ratio2)
+    def scan_config(self, mode: str) -> ScanConfig:
+        """The scan of this run; building it builds every other library spec too,
+        and any spec's ``ValueError`` is raised as a ``ConfigError``."""
+        try:
+            return ScanConfig(
+                channel=self.channel(),
+                atten_start_db=self.atten_start_db,
+                atten_stop_db=self.atten_stop_db,
+                atten_step_db=self.atten_step_db,
+                betas_rad=self.betas_rad(),
+                mu_search=self.mu_search(),
+                fixed_mus=self.mu,
+                mode=mode,
+                estimator=self.estimator(),
+            )
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
 
 _FLOAT_KEYS = {
@@ -169,38 +199,14 @@ def _apply_entry(config: RunConfig, key: str, raw: str):
 
 
 def _validate(config: RunConfig):
-    for key in ("eta_opt_ba", "eta_opt_bab", "eta_d", "pd", "ed_a", "ed_b"):
-        value = getattr(config, key)
-        if not 0.0 <= value <= 1.0:
-            raise ConfigError(f"{key}: must be in [0, 1], got {value}")
-    if config.alpha_db_per_km <= 0:
-        raise ConfigError(f"alpha_db_per_km: must be > 0, got {config.alpha_db_per_km}")
+    """The checks that no library spec makes; ``load_config`` runs the specs' own."""
     for key in ("attenuation_db", "atten_start_db", "atten_hi_db"):
         if getattr(config, key) < 0:
             raise ConfigError(f"{key}: must be >= 0, got {getattr(config, key)}")
     if config.atten_stop_db < config.atten_start_db:
         raise ConfigError("atten_stop_db: must be >= atten_start_db")
-    if config.atten_step_db <= 0:
-        raise ConfigError(f"atten_step_db: must be > 0, got {config.atten_step_db}")
-    if not 0.0 < config.decoy_ratio2 < config.decoy_ratio1 < 1.0:
-        raise ConfigError(
-            f"decoy ratios: need 0 < decoy_ratio2 < decoy_ratio1 < 1, "
-            f"got {config.decoy_ratio1}, {config.decoy_ratio2}"
-        )
-    if not 0.0 < config.mu_lo <= config.mu_hi:
-        raise ConfigError(f"mu range: need 0 < mu_lo <= mu_hi, got [{config.mu_lo}, {config.mu_hi}]")
     if any(m <= 0 for m in config.mu):
         raise ConfigError(f"mu: intensities must be > 0, got {config.mu}")
-    if config.mu_coarse_points < 1:
-        raise ConfigError(f"mu_coarse_points: must be >= 1, got {config.mu_coarse_points}")
-    if config.mu_rel_tol <= 0:
-        raise ConfigError(f"mu_rel_tol: must be > 0, got {config.mu_rel_tol}")
-    if not config.n_pulses > 0:
-        raise ConfigError(f"n_pulses: must be > 0, got {config.n_pulses}")
-    if not 0.0 <= config.u_sigma < math.inf:
-        raise ConfigError(f"u_sigma: must be finite and >= 0, got {config.u_sigma}")
-    if config.n_cut < 2:
-        raise ConfigError(f"n_cut: must be >= 2, got {config.n_cut}")
     if not config.beta_deg:
         raise ConfigError("beta_deg: at least one angle required")
 
@@ -230,6 +236,7 @@ def load_config(path: str | None, overrides: list[str]) -> RunConfig:
     for key, raw in entries:
         _apply_entry(config, key, raw)
     _validate(config)
+    config.scan_config("optimized")  # builds every library spec, so their checks run here
     return config
 
 
@@ -319,25 +326,8 @@ def _warn_flags(points: list[PointResult], reporter: _Reporter):
 
 
 def _cmd_scan(config: RunConfig, args, reporter: _Reporter) -> int:
-    mode = "fixed" if args.mode == "fixed" else "optimized"
-    fixed_mus = config.mu
-    if mode == "fixed" and not fixed_mus:
-        raise ConfigError("scan --mode fixed requires at least one mu value")
-    scan_config = ScanConfig(
-        channel=config.channel(),
-        atten_start_db=config.atten_start_db,
-        atten_stop_db=config.atten_stop_db,
-        atten_step_db=config.atten_step_db,
-        betas_rad=config.betas_rad(),
-        decoy_ratios=config.decoy_ratios(),
-        mu_search=config.mu_search(),
-        fixed_mus=fixed_mus,
-        n_cut=config.n_cut,
-        mode=mode,
-        y0_from_model=config.y0_from_model,
-        tight_z_bounds=config.tight_z_bounds,
-    )
-    points = scan(scan_config)
+    mode = args.mode
+    points = scan(config.scan_config(mode))
     reporter.info(f"scan ({mode} intensity): {len(points)} grid points")
     if args.out:
         write_csv(points, args.out)
@@ -353,18 +343,10 @@ def _cmd_point(config: RunConfig, args, reporter: _Reporter) -> int:
     beta = config.betas_rad()[0]
     if config.mu:
         mu = config.mu[0]
-        point = evaluate_point(
-            config.channel(), config.attenuation_db, beta, mu,
-            config.n_cut, config.decoy_ratios(),
-            y0_from_model=config.y0_from_model,
-            tight_z_bounds=config.tight_z_bounds,
-        )
+        point = evaluate_point(config.channel(), config.attenuation_db, beta, mu, config.estimator())
     else:
         mu, point = optimize_mu(
-            config.channel(), config.attenuation_db, beta,
-            config.mu_search(), config.n_cut, config.decoy_ratios(),
-            y0_from_model=config.y0_from_model,
-            tight_z_bounds=config.tight_z_bounds,
+            config.channel(), config.attenuation_db, beta, config.mu_search(), config.estimator()
         )
     reporter.info(
         f"A = {point.attenuation_db:g} dB, beta = {point.beta_deg:g} deg, mu = {mu:.6g}: "
@@ -383,10 +365,7 @@ def _cmd_point(config: RunConfig, args, reporter: _Reporter) -> int:
 def _cmd_cutoff(config: RunConfig, args, reporter: _Reporter) -> int:
     beta = config.betas_rad()[0]
     a_max, point = max_attenuation(
-        config.channel(), beta, config.mu_search(), config.n_cut,
-        config.decoy_ratios(), atten_hi_db=config.atten_hi_db,
-        y0_from_model=config.y0_from_model,
-        tight_z_bounds=config.tight_z_bounds,
+        config.channel(), beta, config.mu_search(), config.estimator(), atten_hi_db=config.atten_hi_db
     )
     if a_max is None:
         reporter.info("always insecure: no attenuation yields positive capacity")
@@ -413,29 +392,34 @@ def _cmd_cutoff(config: RunConfig, args, reporter: _Reporter) -> int:
     return EXIT_OK
 
 
-def _vertex_optimum(objective, a_ub, b_ub, bounds, sense):
-    """Brute-force reference optimum of a small boxed LP by vertex enumeration."""
-    from itertools import combinations
+def vertex_enumeration_optimum(objective, rows, bounds, sense) -> float | None:
+    """Exact optimum of a small boxed LP by enumerating basic feasible points.
 
+    The reference the LP solver is checked against, here and in the tests; it
+    shares no code with ``decoy``. ``rows`` is a list of (coefficients,
+    relation, bound) with relation in {"<=", ">="}; box faces count as
+    constraints. Returns None if no vertex is feasible.
+    """
     n = len(objective)
-    mats, vals = [], []
+    less_equal = []  # every row as "<="
+    for coeffs, rel, bound in rows:
+        sign = -1.0 if rel == ">=" else 1.0
+        less_equal.append((sign * np.asarray(coeffs, dtype=float), sign * bound))
+    faces = []  # (normal, offset) of every hyperplane a vertex can lie on
     for i in range(n):
         e = np.zeros(n)
         e[i] = 1.0
-        mats.extend([e, e])
-        vals.extend([bounds[i][0], bounds[i][1]])
-    for row, b in zip(a_ub, b_ub):
-        mats.append(np.asarray(row, dtype=float))
-        vals.append(b)
+        faces += [(e, bounds[i][0]), (e, bounds[i][1])]
+    faces += less_equal
     best = None
-    for idx in combinations(range(len(mats)), n):
-        a = np.array([mats[i] for i in idx])
+    for chosen in combinations(faces, n):
+        a = np.array([normal for normal, _ in chosen])
         if abs(np.linalg.det(a)) < 1e-12:
             continue
-        x = np.linalg.solve(a, np.array([vals[i] for i in idx]))
-        ok = all(bounds[i][0] - 1e-9 <= x[i] <= bounds[i][1] + 1e-9 for i in range(n))
-        ok = ok and all(np.dot(row, x) <= b + 1e-9 for row, b in zip(a_ub, b_ub))
-        if not ok:
+        x = np.linalg.solve(a, np.array([offset for _, offset in chosen]))
+        if not all(bounds[i][0] - 1e-9 <= x[i] <= bounds[i][1] + 1e-9 for i in range(n)):
+            continue
+        if not all(np.dot(c, x) <= b + 1e-9 for c, b in less_equal):
             continue
         value = float(np.dot(objective, x))
         if best is None or (value < best if sense == "minimize" else value > best):
@@ -487,17 +471,15 @@ def _selftest_lp(rng) -> bool:
         a_ub = rng.uniform(-1, 1, size=(3, n))
         b_ub = rng.uniform(0.5, 2.0, size=3)
         bounds = [(0.0, 1.0)] * n
+        rows = [(a_ub[i], "<=", b_ub[i]) for i in range(3)]
         lp = decoy.LinearProgram(
-            sense="minimize",
-            objective=objective,
-            constraints=[(a_ub[i], "<=", b_ub[i]) for i in range(3)],
-            variable_bounds=bounds,
+            sense="minimize", objective=objective, constraints=rows, variable_bounds=bounds
         )
         try:
             value, _ = decoy.solve_lp(lp)
         except decoy.InfeasibleError:
             continue
-        reference = _vertex_optimum(objective, a_ub, b_ub, bounds, "minimize")
+        reference = vertex_enumeration_optimum(objective, rows, bounds, "minimize")
         if reference is None or abs(value - reference) > 1e-9:
             return False
     return True
@@ -528,7 +510,10 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", help="CSV output path")
     common.add_argument("--summary", help="JSON summary output path")
     common.add_argument("--quiet", action="store_true", help="suppress progress output")
-    common.add_argument("--verbose", action="store_true", help="echo the resolved configuration")
+    common.add_argument(
+        "--verbose", action="store_true",
+        help="echo the resolved configuration, and print the traceback of an internal error",
+    )
     parser = argparse.ArgumentParser(
         prog="rfiqsdc",
         description="Secrecy message capacity simulator for frame-independent "
@@ -564,14 +549,14 @@ def run(argv: list[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     _echo_config(config, reporter)
-    if not hasattr(args, "mode"):
-        args.mode = None
     try:
         return _COMMANDS[args.command](config, args, reporter)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
+        if args.verbose:
+            traceback.print_exc()
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

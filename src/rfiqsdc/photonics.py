@@ -11,8 +11,6 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
-import numpy as np
-
 __all__ = [
     "Basis",
     "Leg",
@@ -33,7 +31,6 @@ __all__ = [
     "pair_stats",
     "ba_observed",
     "bab_stats",
-    "encoding_operator",
 ]
 
 
@@ -337,24 +334,3 @@ def bab_stats(spec: ChannelSpec, mu: float) -> tuple[float, float]:
         raise NoClicksError("zero round-trip gain")
     e = (spec.ed_b * q_x + (1.0 - spec.ed_b) * q_y) / q
     return q, e
-
-
-# 2x2 polarization operators over the (H, V) amplitude basis, unnormalized.
-_ENCODING_OPERATORS = {
-    "M_H": np.array([[1, 0], [0, 1]], dtype=complex),
-    "M_V": np.array([[0, 1], [1, 0]], dtype=complex),
-    "M_+": np.array([[1, 1], [1, -1]], dtype=complex),
-    "M_-": np.array([[1, -1], [-1, -1]], dtype=complex),
-    "M_R": np.array([[1, -1j], [1j, -1]], dtype=complex),
-    "M_L": np.array([[1, 1j], [-1j, -1]], dtype=complex),
-    "M_0": np.array([[1, 0], [0, 1]], dtype=complex),
-    "M_1": np.array([[0, -1], [1, 0]], dtype=complex),
-}
-
-
-def encoding_operator(label: str) -> np.ndarray:
-    """The polarization operator for one of the protocol's encoding labels."""
-    try:
-        return _ENCODING_OPERATORS[label].copy()
-    except KeyError:
-        raise ValueError(f"unknown encoding operator {label!r}") from None

@@ -12,6 +12,7 @@ from .photonics import ChannelSpec, NoClicksError
 
 __all__ = [
     "MuSearchSpec",
+    "EstimatorSpec",
     "ScanConfig",
     "PointResult",
     "evaluate_point",
@@ -19,8 +20,6 @@ __all__ = [
     "scan",
     "max_attenuation",
 ]
-
-DEFAULT_DECOY_RATIOS = (0.05, 0.01)
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -39,6 +38,32 @@ class MuSearchSpec:
             raise ValueError(f"need 0 < mu_lo <= mu_hi, got [{self.mu_lo}, {self.mu_hi}]")
         if self.coarse_points < 1:
             raise ValueError("coarse_points must be >= 1")
+        if not self.rel_tol > 0.0:
+            raise ValueError(f"rel_tol must be > 0, got {self.rel_tol}")
+
+
+@dataclass(frozen=True)
+class EstimatorSpec:
+    """Decoy-state estimator settings, the same for every evaluation of a run.
+
+    ``n_cut`` is the largest photon number kept as an LP variable;
+    ``decoy_ratios`` are (r1, r2), the two decoy intensities as fractions of the
+    signal mu; ``tight_z_bounds`` couples the error programs through z_n <= Y_n
+    (see ``decoy.estimate_bounds``); ``y0_from_model`` takes the vacuum yield
+    from the dark-count model instead of its decoy lower bound.
+    """
+
+    n_cut: int = decoy.DEFAULT_N_CUT
+    decoy_ratios: tuple = (0.05, 0.01)
+    tight_z_bounds: bool = False
+    y0_from_model: bool = False
+
+    def __post_init__(self):
+        if self.n_cut < 2:
+            raise ValueError(f"n_cut must be >= 2, got {self.n_cut}")
+        r1, r2 = self.decoy_ratios
+        if not 0.0 < r2 < r1 < 1.0:
+            raise ValueError(f"decoy ratios must satisfy 0 < r2 < r1 < 1, got {self.decoy_ratios}")
 
 
 @dataclass(frozen=True)
@@ -50,24 +75,18 @@ class ScanConfig:
     atten_stop_db: float = 12.0
     atten_step_db: float = 0.5
     betas_rad: tuple = (0.0,)
-    decoy_ratios: tuple = DEFAULT_DECOY_RATIOS
     mu_search: MuSearchSpec = MuSearchSpec()
     fixed_mus: tuple = ()  # used by fixed-intensity scans
-    n_cut: int = decoy.DEFAULT_N_CUT
     mode: str = "optimized"  # "optimized" | "fixed"
-    y0_from_model: bool = False
-    tight_z_bounds: bool = False
+    estimator: EstimatorSpec = EstimatorSpec()
 
     def __post_init__(self):
-        r1, r2 = self.decoy_ratios
-        if not (0.0 < r2 < r1 < 1.0):
-            raise ValueError(f"decoy ratios must satisfy 0 < r2 < r1 < 1, got {self.decoy_ratios}")
         if self.atten_step_db <= 0:
             raise ValueError("atten_step_db must be > 0")
         if self.mode not in ("optimized", "fixed"):
             raise ValueError(f"bad scan mode {self.mode!r}")
         if self.mode == "fixed" and not self.fixed_mus:
-            raise ValueError("fixed-intensity scan requires fixed_mus")
+            raise ValueError("fixed-intensity scan requires at least one mu in fixed_mus")
 
     def attenuation_grid(self):
         n = int(math.floor((self.atten_stop_db - self.atten_start_db) / self.atten_step_db + 1e-9)) + 1
@@ -124,10 +143,7 @@ def evaluate_point(
     attenuation_db: float,
     beta_rad: float,
     mu: float,
-    n_cut: int = decoy.DEFAULT_N_CUT,
-    decoy_ratios: tuple = DEFAULT_DECOY_RATIOS,
-    y0_from_model: bool = False,
-    tight_z_bounds: bool = False,
+    estimator: EstimatorSpec = EstimatorSpec(),
 ) -> PointResult:
     """Evaluate the secrecy message capacity at one (attenuation, beta, mu) point.
 
@@ -137,16 +153,13 @@ def evaluate_point(
     rather than exceptions.
     """
     spec = replace(channel, attenuation_db=attenuation_db, beta_rad=beta_rad)
-    intensities = {
-        "signal": mu,
-        "decoy1": decoy_ratios[0] * mu,
-        "decoy2": decoy_ratios[1] * mu,
-    }
+    r1, r2 = estimator.decoy_ratios
+    intensities = {"signal": mu, "decoy1": r1 * mu, "decoy2": r2 * mu}
     flags = []
     try:
         table = photonics.ba_observed(spec, intensities)
         bounds = decoy.estimate_bounds(
-            table, intensities, n_cut, tight_z_bounds=tight_z_bounds, fluctuation=spec.fluctuation
+            table, intensities, estimator.n_cut, estimator.tight_z_bounds, fluctuation=spec.fluctuation
         )
         q_bab, e_bab = photonics.bab_stats(spec, mu)
     except NoClicksError as exc:
@@ -154,7 +167,7 @@ def evaluate_point(
     except decoy.InfeasibleError as exc:
         return _failed_point(spec, mu, f"lp_infeasible: {exc}")
 
-    if y0_from_model:
+    if estimator.y0_from_model:
         y0 = 2.0 * spec.pd * (1.0 - spec.pd) - spec.pd**2
         y0 = max(y0, 0.0)
     else:
@@ -202,23 +215,16 @@ def optimize_mu(
     attenuation_db: float,
     beta_rad: float,
     search: MuSearchSpec = MuSearchSpec(),
-    n_cut: int = decoy.DEFAULT_N_CUT,
-    decoy_ratios: tuple = DEFAULT_DECOY_RATIOS,
-    y0_from_model: bool = False,
-    tight_z_bounds: bool = False,
+    estimator: EstimatorSpec = EstimatorSpec(),
 ) -> tuple[float, PointResult]:
     """Best signal intensity at one grid point.
 
     Coarse logarithmic grid, then golden-section refinement on the bracketing
-    interval; ties break toward smaller mu. ``y0_from_model`` and
-    ``tight_z_bounds`` reach every evaluation, as in ``evaluate_point``.
+    interval; ties break toward smaller mu. Every evaluation uses ``estimator``.
     """
 
     def cap(mu):
-        return evaluate_point(
-            channel, attenuation_db, beta_rad, mu, n_cut, decoy_ratios,
-            y0_from_model=y0_from_model, tight_z_bounds=tight_z_bounds,
-        )
+        return evaluate_point(channel, attenuation_db, beta_rad, mu, estimator)
 
     if search.mu_lo == search.mu_hi or search.coarse_points == 1:
         best = cap(search.mu_lo)
@@ -256,20 +262,14 @@ def optimize_mu(
 
 def scan(config: ScanConfig) -> list[PointResult]:
     """Evaluate every grid point in grid order; never aborts on a single point's failure."""
-    estimator = dict(y0_from_model=config.y0_from_model, tight_z_bounds=config.tight_z_bounds)
     points = []
     for attenuation in config.attenuation_grid():
         for beta in config.betas_rad:
             if config.mode == "fixed":
                 for mu in config.fixed_mus:
-                    points.append(evaluate_point(
-                        config.channel, attenuation, beta, mu, config.n_cut, config.decoy_ratios, **estimator
-                    ))
+                    points.append(evaluate_point(config.channel, attenuation, beta, mu, config.estimator))
             else:
-                _, result = optimize_mu(
-                    config.channel, attenuation, beta, config.mu_search, config.n_cut, config.decoy_ratios,
-                    **estimator,
-                )
+                _, result = optimize_mu(config.channel, attenuation, beta, config.mu_search, config.estimator)
                 points.append(result)
     return points
 
@@ -278,25 +278,18 @@ def max_attenuation(
     channel: ChannelSpec,
     beta_rad: float,
     search: MuSearchSpec = MuSearchSpec(),
-    n_cut: int = decoy.DEFAULT_N_CUT,
-    decoy_ratios: tuple = DEFAULT_DECOY_RATIOS,
+    estimator: EstimatorSpec = EstimatorSpec(),
     atten_hi_db: float = 20.0,
     width_db: float = 0.01,
-    y0_from_model: bool = False,
-    tight_z_bounds: bool = False,
 ) -> tuple[float | None, PointResult | None]:
     """Largest attenuation with positive optimized capacity, by bisection.
 
     Returns (None, None) when no attenuation in [0, atten_hi_db] yields a
-    positive capacity. ``y0_from_model`` and ``tight_z_bounds`` reach every
-    evaluation, as in ``evaluate_point``.
+    positive capacity. Every evaluation uses ``estimator``.
     """
 
     def best(attenuation):
-        return optimize_mu(
-            channel, attenuation, beta_rad, search, n_cut, decoy_ratios,
-            y0_from_model=y0_from_model, tight_z_bounds=tight_z_bounds,
-        )[1]
+        return optimize_mu(channel, attenuation, beta_rad, search, estimator)[1]
 
     lo_point = best(0.0)
     if lo_point.capacity <= 0.0:

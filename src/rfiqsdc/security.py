@@ -15,19 +15,16 @@ import numpy as np
 
 __all__ = [
     "BellDiagonalAttack",
-    "SecurityEstimate",
     "CapacityInputs",
     "EveGains",
     "binary_entropy",
     "c_from_errors",
-    "q_from_error",
     "eve_info_bound",
     "holevo_oracle",
     "gram_entropy",
     "ensemble_entropy",
     "eve_gains",
     "secrecy_capacity",
-    "aligned_eve_bound",
 ]
 
 _C_TOL = 1e-9
@@ -45,13 +42,6 @@ def binary_entropy(x: float) -> float:
 def c_from_errors(e_xx: float, e_xy: float, e_yx: float, e_yy: float) -> float:
     """Rotation-invariant correlation sum C from the four X/Y-pair error rates."""
     return sum((1.0 - 2.0 * e) ** 2 for e in (e_xx, e_xy, e_yx, e_yy))
-
-
-def q_from_error(e_zz: float) -> float:
-    """The Z-basis anticorrelation invariant; numerically the Z error rate itself."""
-    if not 0.0 <= e_zz <= 1.0:
-        raise ValueError(f"e_zz must be in [0, 1], got {e_zz}")
-    return e_zz
 
 
 def eve_info_bound(c: float) -> float:
@@ -86,17 +76,6 @@ class BellDiagonalAttack:
     def c_value(self) -> float:
         l1, l2, l3, l4 = self.lambdas
         return 2.0 * ((l1 - l2) ** 2 + (l3 - l4) ** 2)
-
-
-@dataclass(frozen=True)
-class SecurityEstimate:
-    c_value: float
-    q_value: float
-    eve_single: float
-
-    @classmethod
-    def from_invariants(cls, c_value: float, q_value: float) -> "SecurityEstimate":
-        return cls(c_value=c_value, q_value=q_value, eve_single=eve_info_bound(c_value))
 
 
 def _eve_states(attack: BellDiagonalAttack) -> list[np.ndarray]:
@@ -211,11 +190,3 @@ def secrecy_capacity(inputs: CapacityInputs) -> float:
     mutual_ab = inputs.q_bab * (1.0 - binary_entropy(inputs.e_bab))
     eve = inputs.q_n1_bae * eve_info_bound(inputs.c_lower) + inputs.q_n2_bae
     return mutual_ab - eve
-
-
-def aligned_eve_bound(e_x: float, e_z: float) -> float:
-    """Eve's information bound for a calibrated frame: h(e_x + e_z)."""
-    s = e_x + e_z
-    if not 0.0 <= s <= 1.0:
-        raise ValueError(f"e_x + e_z must be in [0, 1], got {s}")
-    return binary_entropy(s)

@@ -3,16 +3,17 @@
 These deliberately avoid the closed forms under test: gains are rebuilt from
 truncated Poisson/binomial sums, and LPs are re-solved by brute-force vertex
 enumeration. Keep this module free of imports from the code paths it checks,
-except for the elementary single-photon amplitudes.
+except for the elementary single-photon amplitudes and the vertex oracle.
+The vertex oracle lives in ``rfiqsdc.cli`` because the shipped ``selftest``
+command uses it too; it shares no code with the ``decoy`` LP path it checks,
+so one copy serves both.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import combinations
 
-import numpy as np
-
+from rfiqsdc.cli import vertex_enumeration_optimum  # noqa: F401  (re-exported for the tests)
 from rfiqsdc.photonics import (
     BasisPair,
     ChannelSpec,
@@ -70,42 +71,3 @@ def true_n_photon_stats(spec: ChannelSpec, pair: BasisPair, n: int) -> tuple[flo
         z_n += binom * (spec.ed_a * y_x + (1.0 - spec.ed_a) * y_y)
     return y_n, z_n
 
-
-def vertex_enumeration_optimum(objective, rows, bounds, sense) -> float | None:
-    """Exact optimum of a small boxed LP by enumerating basic feasible points.
-
-    ``rows`` is a list of (coefficients, relation, bound) with relation in
-    {"<=", ">="}; box faces count as constraints. Returns None if no vertex is
-    feasible.
-    """
-    n = len(objective)
-    mats, vals = [], []
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = 1.0
-        mats.append(e)
-        vals.append(bounds[i][0])
-        mats.append(e)
-        vals.append(bounds[i][1])
-    normalized = []
-    for coeffs, rel, bound in rows:
-        coeffs = np.asarray(coeffs, dtype=float)
-        if rel == ">=":
-            coeffs, bound = -coeffs, -bound
-        normalized.append((coeffs, bound))
-        mats.append(coeffs)
-        vals.append(bound)
-    best = None
-    for idx in combinations(range(len(mats)), n):
-        a = np.array([mats[i] for i in idx])
-        if abs(np.linalg.det(a)) < 1e-12:
-            continue
-        x = np.linalg.solve(a, np.array([vals[i] for i in idx]))
-        if not all(bounds[i][0] - 1e-9 <= x[i] <= bounds[i][1] + 1e-9 for i in range(n)):
-            continue
-        if not all(np.dot(coeffs, x) <= bound + 1e-9 for coeffs, bound in normalized):
-            continue
-        value = float(np.dot(objective, x))
-        if best is None or (value < best if sense == "minimize" else value > best):
-            best = value
-    return best

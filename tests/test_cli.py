@@ -10,6 +10,7 @@ from rfiqsdc.cli import (
     CSV_COLUMNS,
     ConfigError,
     EXIT_CONFIG,
+    EXIT_INTERNAL,
     EXIT_OK,
     RunConfig,
     load_config,
@@ -114,6 +115,37 @@ class TestExitCodes:
     def test_fixed_scan_without_mu_exits_2(self):
         assert run(["scan", "--mode", "fixed", "--quiet"]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "entry, name",
+        [
+            ("atten_hi_db=inf", "atten_hi_db"),
+            ("alpha_db_per_km=nan", "alpha_db_per_km"),
+            ("mu_rel_tol=nan", "rel_tol"),
+            ("attenuation_db=nan", "attenuation_db"),
+            ("beta_deg=inf", "beta_deg"),
+            ("mu=nan", "mu"),
+            ("atten_step_db=nan", "atten_step_db"),
+        ],
+    )
+    def test_non_finite_value_exits_2(self, capsys, entry, name):
+        assert run(["cutoff", "--quiet", "--set", entry]) == EXIT_CONFIG
+        assert name in capsys.readouterr().err
+
+    def test_internal_error_traceback_only_when_verbose(self, monkeypatch, capsys):
+        def failing_point(*args, **kwargs):
+            raise RuntimeError("solver exploded")
+
+        monkeypatch.setattr(cli, "evaluate_point", failing_point)
+        argv = ["point", "--quiet", "--set", "mu=0.05"]
+        assert run(argv) == EXIT_INTERNAL
+        err = capsys.readouterr().err
+        assert "internal error: solver exploded" in err
+        assert "Traceback" not in err
+        assert run([*argv, "--verbose"]) == EXIT_INTERNAL
+        err = capsys.readouterr().err
+        assert "Traceback" in err
+        assert "internal error: solver exploded" in err
+
     def test_selftest_passes(self, capsys):
         assert run(["selftest"]) == EXIT_OK
         out = capsys.readouterr().out
@@ -195,10 +227,8 @@ class TestFluctuationParameters:
     def test_every_path_carries_both(self, monkeypatch, argv):
         seen = []
 
-        def recording_point(channel, attenuation_db, beta_rad, mu, *args, **kwargs):
-            seen.append((
-                channel.n_pulses, channel.u_sigma, kwargs.get("y0_from_model"), kwargs.get("tight_z_bounds")
-            ))
+        def recording_point(channel, attenuation_db, beta_rad, mu, estimator):
+            seen.append((channel.n_pulses, channel.u_sigma, estimator.y0_from_model, estimator.tight_z_bounds))
             capacity = 1e-6 if attenuation_db < 5.0 else -1e-6
             return PointResult(attenuation_db, 0.0, beta_rad, mu, capacity, *[0.0] * 9)
 
@@ -257,4 +287,4 @@ class TestRunConfigHelpers:
         assert spec.beta_rad == pytest.approx(math.pi / 4)
 
     def test_decoy_ratios(self):
-        assert RunConfig().decoy_ratios() == (0.05, 0.01)
+        assert RunConfig().estimator().decoy_ratios == (0.05, 0.01)

@@ -20,7 +20,6 @@ from rfiqsdc.photonics import (
     bab_stats,
     detector_yield,
     distance_from_attenuation,
-    encoding_operator,
     gain_component,
     leg_transmission,
     named_prep,
@@ -258,28 +257,3 @@ class TestBabStats:
         q, _ = bab_stats(spec, 1e6)
         assert q == pytest.approx(1.0 - spec.pd, abs=1e-9)
 
-
-class TestEncodingOperators:
-    def test_identity(self):
-        h = np.array([1.0, 0.0], dtype=complex)
-        assert np.allclose(encoding_operator("M_0") @ h, h)
-
-    def test_bit_flip_with_phase(self):
-        m1 = encoding_operator("M_1")
-        h = np.array([1.0, 0.0], dtype=complex)
-        v = np.array([0.0, 1.0], dtype=complex)
-        assert np.allclose(m1 @ h, v)
-        assert np.allclose(m1 @ v, -h)
-        assert np.allclose(m1.T @ m1, np.eye(2))
-
-    def test_circular_rotation(self):
-        out = encoding_operator("M_R") @ np.array([1.0, 0.0], dtype=complex)
-        out = out / np.linalg.norm(out)
-        target = np.array([1.0, 1.0j]) / math.sqrt(2)
-        # match up to global phase
-        phase = out[0] / target[0]
-        assert np.allclose(out, phase * target)
-
-    def test_unknown_label(self):
-        with pytest.raises(ValueError):
-            encoding_operator("M_Q")

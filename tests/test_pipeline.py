@@ -8,6 +8,7 @@ from scipy.optimize import linprog
 from rfiqsdc import decoy, pipeline
 from rfiqsdc.photonics import ChannelSpec
 from rfiqsdc.pipeline import (
+    EstimatorSpec,
     MuSearchSpec,
     PointResult,
     ScanConfig,
@@ -150,8 +151,21 @@ class TestScan:
             ScanConfig(mode="fixed")  # no intensities given
         with pytest.raises(ValueError):
             ScanConfig(atten_step_db=0.0)
-        with pytest.raises(ValueError):
-            ScanConfig(decoy_ratios=(0.01, 0.05))
+
+
+@pytest.mark.parametrize(
+    "spec, kwargs",
+    [
+        (MuSearchSpec, {"rel_tol": 0.0}),
+        (MuSearchSpec, {"rel_tol": -1.0}),  # would never end the golden-section loop
+        (EstimatorSpec, {"decoy_ratios": (0.01, 0.05)}),
+        (EstimatorSpec, {"n_cut": 1}),
+    ],
+    ids=["rel_tol-zero", "rel_tol-negative", "decoy-ratios-swapped", "n_cut-1"],
+)
+def test_spec_validation(spec, kwargs):
+    with pytest.raises(ValueError):
+        spec(**kwargs)
 
 
 class TestMaxAttenuation:

@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 from rfiqsdc.security import (
     BellDiagonalAttack,
     CapacityInputs,
-    SecurityEstimate,
-    aligned_eve_bound,
     binary_entropy,
     c_from_errors,
     ensemble_entropy,
@@ -19,7 +17,6 @@ from rfiqsdc.security import (
     eve_info_bound,
     gram_entropy,
     holevo_oracle,
-    q_from_error,
     secrecy_capacity,
 )
 
@@ -81,12 +78,6 @@ class TestInvariants:
         flipped = [1.0 - x for x in e]
         assert c_from_errors(*e) == pytest.approx(c_from_errors(*flipped), abs=1e-12)
 
-    def test_q_is_identity(self):
-        assert q_from_error(0.0) == 0.0
-        assert q_from_error(0.25) == 0.25
-        with pytest.raises(ValueError):
-            q_from_error(1.5)
-
 
 class TestEveInfoBound:
     def test_extremes(self):
@@ -108,10 +99,6 @@ class TestEveInfoBound:
             eve_info_bound(-1e-3)
         with pytest.raises(ValueError):
             eve_info_bound(2.1)
-
-    def test_estimate_construction(self):
-        est = SecurityEstimate.from_invariants(1.0, 0.1)
-        assert est.eve_single == eve_info_bound(1.0)
 
 
 class TestHolevoOracle:
@@ -234,14 +221,3 @@ class TestCapacity:
             assert bump(e_bab=base.e_bab + eps) <= v
             assert bump(q_n1_bae=base.q_n1_bae + eps) <= v
             assert bump(q_n2_bae=base.q_n2_bae + eps) <= v
-
-
-class TestAlignedBound:
-    def test_values(self):
-        assert aligned_eve_bound(0.0, 0.0) == 0.0
-        assert aligned_eve_bound(0.25, 0.25) == 1.0
-        assert aligned_eve_bound(0.02, 0.03) == pytest.approx(0.286397, abs=1e-6)
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            aligned_eve_bound(0.8, 0.3)
