@@ -15,6 +15,7 @@ from .pipeline import (
     PointResult,
     ScanConfig,
     evaluate_point,
+    evaluate_points,
     max_attenuation,
     optimize_mu,
     scan,
@@ -46,6 +47,7 @@ __all__ = [
     "ScanConfig",
     "PointResult",
     "evaluate_point",
+    "evaluate_points",
     "optimize_mu",
     "scan",
     "max_attenuation",

@@ -325,8 +325,23 @@ def _warn_flags(points: list[PointResult], reporter: _Reporter):
         reporter.info(f"warning: {flagged} of {len(points)} points carry diagnostic flags")
 
 
+def _single(config: RunConfig, key: str):
+    """The one value of list key ``key``, for a command that uses only one."""
+    values = getattr(config, key)
+    if len(values) > 1:
+        raise ConfigError(f"{key}: this command takes one value, got {len(values)}")
+    return values[0]
+
+
+def _reject_mu(config: RunConfig, command: str):
+    if config.mu:
+        raise ConfigError(f"mu: {command} optimizes the signal intensity and takes no mu")
+
+
 def _cmd_scan(config: RunConfig, args, reporter: _Reporter) -> int:
     mode = args.mode
+    if mode == "optimized":
+        _reject_mu(config, "scan --mode optimized")
     points = scan(config.scan_config(mode))
     reporter.info(f"scan ({mode} intensity): {len(points)} grid points")
     if args.out:
@@ -340,9 +355,9 @@ def _cmd_scan(config: RunConfig, args, reporter: _Reporter) -> int:
 
 
 def _cmd_point(config: RunConfig, args, reporter: _Reporter) -> int:
-    beta = config.betas_rad()[0]
+    beta = math.radians(_single(config, "beta_deg"))
     if config.mu:
-        mu = config.mu[0]
+        mu = _single(config, "mu")
         point = evaluate_point(config.channel(), config.attenuation_db, beta, mu, config.estimator())
     else:
         mu, point = optimize_mu(
@@ -363,7 +378,8 @@ def _cmd_point(config: RunConfig, args, reporter: _Reporter) -> int:
 
 
 def _cmd_cutoff(config: RunConfig, args, reporter: _Reporter) -> int:
-    beta = config.betas_rad()[0]
+    _reject_mu(config, "cutoff")
+    beta = math.radians(_single(config, "beta_deg"))
     a_max, point = max_attenuation(
         config.channel(), beta, config.mu_search(), config.estimator(), atten_hi_db=config.atten_hi_db
     )

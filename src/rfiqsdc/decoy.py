@@ -3,8 +3,9 @@
 The observed multi-intensity gains constrain the per-photon-number yields
 through two-sided Poisson-weighted inequalities; small linear programs
 extremize the single-photon quantities, and the resulting intervals compose
-into a conservative lower bound on the correlation invariant C. All of a
-point's programs are solved together as one block-diagonal program.
+into a conservative lower bound on the correlation invariant C. Programs are
+solved together as one block-diagonal program: a point's 22 in
+``estimate_bounds``, or those of several points (``pipeline.evaluate_points``).
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ __all__ = [
     "build_error_lp",
     "solve_lp",
     "solve_lps",
+    "bound_programs",
+    "read_bounds",
     "estimate_bounds",
     "c_lower_bound",
 ]
@@ -254,21 +257,20 @@ def c_lower_bound(e1_intervals) -> float:
     return total
 
 
-def estimate_bounds(
+def bound_programs(
     table: LegStatsTable,
     intensities: dict[str, float],
     n_cut: int = DEFAULT_N_CUT,
     tight_z_bounds: bool = False,
     fluctuation: float = 0.0,
-) -> BoundsSet:
-    """Single-photon yield/error intervals for every retained pair, plus the C bound.
+) -> list[LinearProgram]:
+    """The 22 programs of one point, in the order ``read_bounds`` consumes
+    their optima: per pair, min and max of Y1, then of z1, then (ZZ only) of Y0.
 
     ``tight_z_bounds`` switches the error program to the coupled form with
     z_n <= Y_n instead of the plain z_n <= 1 box. ``fluctuation`` (u / sqrt(N),
     see ``ChannelSpec``) widens every observed Q and Q*E by its statistical
-    fluctuation; the default zero treats the observations as exact. The
-    programs of all pairs are solved in one ``solve_lps`` call; any infeasible
-    program raises ``InfeasibleError``.
+    fluctuation; the default zero treats the observations as exact.
     """
     n_var = n_cut + 1
     weights = _poisson_weights([intensities[k] for k in INTENSITY_LABELS], n_cut)
@@ -285,8 +287,12 @@ def estimate_bounds(
             lps += [_unit_lp(n_var, 1, qe_rows, sense) for sense in _SENSES]
         if pair_label == "ZZ":
             lps += [_unit_lp(n_var, 0, q_rows, sense) for sense in _SENSES]
-    values = iter([value for value, _ in solve_lps(lps)])
+    return lps
 
+
+def read_bounds(values) -> BoundsSet:
+    """The intervals and the C bound from the optima of ``bound_programs``, in order."""
+    values = iter(values)
     y1, e1 = {}, {}
     for pair_label in PAIR_LABELS:
         y1[pair_label] = _interval(next(values), next(values))
@@ -296,3 +302,20 @@ def estimate_bounds(
             y0 = _interval(next(values), next(values))
     c_lower = c_lower_bound([e1[p] for p in ("XX", "XY", "YX", "YY")])
     return BoundsSet(y1=y1, y0=y0, e1=e1, c_lower=c_lower)
+
+
+def estimate_bounds(
+    table: LegStatsTable,
+    intensities: dict[str, float],
+    n_cut: int = DEFAULT_N_CUT,
+    tight_z_bounds: bool = False,
+    fluctuation: float = 0.0,
+) -> BoundsSet:
+    """Single-photon yield/error intervals for every retained pair, plus the C bound.
+
+    Builds the point's programs with ``bound_programs`` (which explains the
+    arguments), solves them in one ``solve_lps`` call and reads them with
+    ``read_bounds``; any infeasible program raises ``InfeasibleError``.
+    """
+    lps = bound_programs(table, intensities, n_cut, tight_z_bounds, fluctuation)
+    return read_bounds(value for value, _ in solve_lps(lps))

@@ -131,6 +131,22 @@ class TestExitCodes:
         assert run(["cutoff", "--quiet", "--set", entry]) == EXIT_CONFIG
         assert name in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["cutoff", "--set", "mu=0.05"], "mu"),
+            (["scan", "--set", "mu=0.05", "--set", "atten_stop_db=1"], "mu"),
+            (["point", "--set", "mu=0.05,0.01"], "mu"),
+            (["point", "--set", "beta_deg=0,45"], "beta_deg"),
+            (["cutoff", "--set", "beta_deg=0,45"], "beta_deg"),
+        ],
+        ids=["cutoff-mu", "scan-optimized-mu", "point-two-mu", "point-two-beta", "cutoff-two-beta"],
+    )
+    def test_ignored_value_exits_2(self, capsys, argv, key):
+        # each of these values would otherwise be dropped without a word
+        assert run([*argv, "--quiet", "--set", "mu_coarse_points=3"]) == EXIT_CONFIG
+        assert f"{key}:" in capsys.readouterr().err
+
     def test_internal_error_traceback_only_when_verbose(self, monkeypatch, capsys):
         def failing_point(*args, **kwargs):
             raise RuntimeError("solver exploded")
@@ -227,13 +243,16 @@ class TestFluctuationParameters:
     def test_every_path_carries_both(self, monkeypatch, argv):
         seen = []
 
-        def recording_point(channel, attenuation_db, beta_rad, mu, estimator):
-            seen.append((channel.n_pulses, channel.u_sigma, estimator.y0_from_model, estimator.tight_z_bounds))
-            capacity = 1e-6 if attenuation_db < 5.0 else -1e-6
-            return PointResult(attenuation_db, 0.0, beta_rad, mu, capacity, *[0.0] * 9)
+        def recording_points(channel, points, estimator):
+            results = []
+            for attenuation_db, beta_rad, mu in points:
+                seen.append((channel.n_pulses, channel.u_sigma, estimator.y0_from_model, estimator.tight_z_bounds))
+                capacity = 1e-6 if attenuation_db < 5.0 else -1e-6
+                results.append(PointResult(attenuation_db, 0.0, beta_rad, mu, capacity, *[0.0] * 9))
+            return results
 
-        monkeypatch.setattr(cli, "evaluate_point", recording_point)
-        monkeypatch.setattr(pipeline, "evaluate_point", recording_point)
+        # every evaluation, including evaluate_point's, goes through evaluate_points
+        monkeypatch.setattr(pipeline, "evaluate_points", recording_points)
         code = run([
             *argv, "--quiet", "--set", "n_pulses=3e9", "--set", "u_sigma=2.5",
             "--set", "y0_from_model=true", "--set", "tight_z_bounds=true",
@@ -244,6 +263,27 @@ class TestFluctuationParameters:
 
 
 class TestScanCommand:
+    def test_failed_batch_falls_back_to_single_points(self, monkeypatch, tmp_path):
+        # HiGHS reports "model_status is Unknown" for the stacked programs of
+        # the golden-section opening pair at 1.5 and 2 dB, while each point
+        # solves alone; the scan must still give every point's own result
+        entries = [
+            "mu_coarse_points=3", "atten_stop_db=2", "n_pulses=3e9", "u_sigma=2.5",
+            "y0_from_model=true", "tight_z_bounds=true",
+        ]
+        settings = [arg for entry in entries for arg in ("--set", entry)]
+        out = tmp_path / "scan.csv"
+        assert run(["scan", "--quiet", *settings, "--out", str(out)]) == EXIT_OK
+
+        monkeypatch.setattr(pipeline, "_POINTS_PER_SOLVE", 1)
+        rows = []
+        for attenuation in ("0", "0.5", "1", "1.5", "2"):
+            point = tmp_path / f"point{attenuation}.csv"
+            argv = ["point", "--quiet", *settings, "--set", f"attenuation_db={attenuation}", "--out", str(point)]
+            assert run(argv) == EXIT_OK
+            rows.append(point.read_text().splitlines()[1])
+        assert out.read_text().splitlines() == [",".join(CSV_COLUMNS), *rows]
+
     def _scan_args(self, out):
         return [
             "scan", "--mode", "fixed", "--quiet",

@@ -5,14 +5,15 @@ import math
 import pytest
 from scipy.optimize import linprog
 
-from rfiqsdc import decoy, pipeline
-from rfiqsdc.photonics import ChannelSpec
+from rfiqsdc import decoy, photonics, pipeline
+from rfiqsdc.photonics import ChannelSpec, LegStatsTable, NoClicksError
 from rfiqsdc.pipeline import (
     EstimatorSpec,
     MuSearchSpec,
     PointResult,
     ScanConfig,
     evaluate_point,
+    evaluate_points,
     max_attenuation,
     optimize_mu,
     scan,
@@ -79,6 +80,88 @@ class TestEvaluatePoint:
             assert more.capacity <= less.capacity
 
 
+def _assert_same_points(batched, single):
+    assert len(batched) == len(single)
+    for got, want in zip(batched, single):
+        assert got.flags == want.flags
+        for name, value in vars(want).items():
+            if name != "flags":
+                assert getattr(got, name) == pytest.approx(value, rel=1e-9, abs=1e-15), name
+
+
+class TestEvaluatePoints:
+    MU_DEAD = 0.02  # ba_observed finds no clicks
+    MU_BROKEN = 0.07  # ba_observed reports gains no yields can produce
+
+    def _grid(self):
+        points = [
+            (atten, math.radians(beta_deg), mu)
+            for atten in (2.0, 6.0, 10.0, 12.0)
+            for beta_deg in (0.0, 45.0)
+            for mu in (0.004, 0.03, 0.3)
+        ]
+        points.insert(7, (6.0, 0.0, self.MU_DEAD))
+        points.insert(12, (6.0, 0.0, self.MU_BROKEN))
+        return points
+
+    @pytest.fixture
+    def faulty_observations(self, monkeypatch):
+        ba_observed = photonics.ba_observed
+
+        def faulty(spec, intensities):
+            if intensities["signal"] == self.MU_DEAD:
+                raise NoClicksError("no clicks at all")
+            table = ba_observed(spec, intensities)
+            if intensities["signal"] == self.MU_BROKEN:
+                # the weakest decoy reports a hundred times the signal gain
+                entries = dict(table.entries)
+                q_signal, e_signal = entries[("signal", "XX")]
+                entries[("decoy2", "XX")] = (100.0 * q_signal, e_signal)
+                table = LegStatsTable(entries=entries, q_ba_signal=table.q_ba_signal)
+            return table
+
+        monkeypatch.setattr(photonics, "ba_observed", faulty)
+
+    @pytest.mark.parametrize("tight", [False, True], ids=["plain", "tight"])
+    def test_matches_single_points(self, faulty_observations, tight):
+        estimator = EstimatorSpec(tight_z_bounds=tight)
+        points = self._grid()
+        batched = evaluate_points(ChannelSpec(), points, estimator)
+        _assert_same_points(batched, [evaluate_point(ChannelSpec(), *p, estimator) for p in points])
+
+        flagged = {p[2]: r.flags for p, r in zip(points, batched) if r.flags}
+        assert list(flagged) == [self.MU_DEAD, self.MU_BROKEN]
+        assert flagged[self.MU_DEAD][0].startswith("no_clicks:")
+        assert flagged[self.MU_BROKEN][0].startswith("lp_infeasible:")
+        # the infeasible point's neighbours share its chunk and stay unflagged
+        assert batched[11].flags == batched[13].flags == []
+
+    def test_failed_batch_is_solved_point_by_point(self, monkeypatch):
+        calls = []
+
+        def multi_point_failure(lps):
+            calls.append(len(lps) // 22)
+            if len(lps) > 22:
+                raise RuntimeError("LP solver failure (status 4): forced")
+            return solve_lps(lps)
+
+        points = [(atten, 0.0, 0.03) for atten in (2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 14.0)]
+        single = [evaluate_point(ChannelSpec(), *p) for p in points]
+        solve_lps = decoy.solve_lps
+        monkeypatch.setattr(decoy, "solve_lps", multi_point_failure)
+        batched = evaluate_points(ChannelSpec(), points)
+        assert calls == [5, 1, 1, 1, 1, 1, 2, 1, 1]
+        assert batched == single
+
+    def test_lone_point_solver_failure_propagates(self, monkeypatch):
+        def failure(lps):
+            raise RuntimeError("LP solver failure (status 4): forced")
+
+        monkeypatch.setattr(decoy, "solve_lps", failure)
+        with pytest.raises(RuntimeError, match="forced"):
+            evaluate_points(ChannelSpec(), [(6.0, 0.0, 0.03), (8.0, 0.0, 0.03)])
+
+
 class TestOptimizeMu:
     def test_low_loss_prefers_bright_pulses(self):
         mu_low, _ = optimize_mu(ChannelSpec(), 2.0, 0.0, FAST_SEARCH)
@@ -96,9 +179,11 @@ class TestOptimizeMu:
         assert point.mu == 0.05
 
     def test_all_negative_is_flagged(self):
-        _, point = optimize_mu(ChannelSpec(), 19.0, 0.0, FAST_SEARCH)
-        assert point.capacity <= 0.0
-        assert "no_positive_capacity" in point.flags
+        # the two degenerate searches evaluate mu_lo alone, and are flagged too
+        for search in (FAST_SEARCH, MuSearchSpec(coarse_points=1), MuSearchSpec(mu_lo=0.05, mu_hi=0.05)):
+            _, point = optimize_mu(ChannelSpec(), 19.0, 0.0, search)
+            assert point.capacity <= 0.0
+            assert "no_positive_capacity" in point.flags
 
     def test_beats_fixed_intensities(self):
         _, best = optimize_mu(ChannelSpec(), 8.0, 0.0, MuSearchSpec())
