@@ -236,7 +236,8 @@ def load_config(path: str | None, overrides: list[str]) -> RunConfig:
     for key, raw in entries:
         _apply_entry(config, key, raw)
     _validate(config)
-    config.scan_config("optimized")  # builds every library spec, so their checks run here
+    # builds every library spec, so their checks run here
+    config.scan_config("fixed" if config.mu else "optimized")
     return config
 
 

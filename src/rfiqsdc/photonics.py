@@ -9,42 +9,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 
 __all__ = [
-    "Basis",
-    "Leg",
     "NoClicksError",
     "ChannelSpec",
-    "PolarizationPrep",
-    "BasisPair",
     "LegStatsTable",
     "PAIR_LABELS",
     "INTENSITY_LABELS",
-    "named_prep",
     "poisson_pn",
     "distance_from_attenuation",
-    "leg_transmission",
-    "amplitude_sq",
     "detector_yield",
     "gain_component",
-    "pair_stats",
     "ba_observed",
     "bab_stats",
 ]
-
-
-class Basis(str, Enum):
-    X = "X"
-    Y = "Y"
-    Z = "Z"
-
-
-class Leg(str, Enum):
-    """Transmission leg: receiver->sender one way, or the full round trip."""
-
-    BA = "BA"
-    BAB = "BAB"
 
 
 class NoClicksError(ValueError):
@@ -86,10 +64,10 @@ class ChannelSpec:
     u_sigma: float = 5.0
 
     def __post_init__(self):
-        if self.attenuation_db < 0:
-            raise ValueError(f"attenuation_db must be >= 0, got {self.attenuation_db}")
-        if self.alpha_db_per_km <= 0:
-            raise ValueError(f"alpha_db_per_km must be > 0, got {self.alpha_db_per_km}")
+        if not 0.0 <= self.attenuation_db < math.inf:
+            raise ValueError(f"attenuation_db must be finite and >= 0, got {self.attenuation_db}")
+        if not 0.0 < self.alpha_db_per_km < math.inf:
+            raise ValueError(f"alpha_db_per_km must be finite and > 0, got {self.alpha_db_per_km}")
         for name in ("eta_opt_ba", "eta_opt_bab", "eta_d", "pd", "ed_a", "ed_b"):
             _check_prob(name, getattr(self, name))
         if not math.isfinite(self.beta_rad):
@@ -104,32 +82,15 @@ class ChannelSpec:
         """u / sqrt(N): an observation o is known to within o +- fluctuation * sqrt(o)."""
         return self.u_sigma / math.sqrt(self.n_pulses)
 
+    @property
+    def transmission_ba(self) -> float:
+        """One-way (receiver -> sender) transmission t * eta_opt: half the fiber loss."""
+        return 10.0 ** (-(self.attenuation_db / 2.0) / 10.0) * self.eta_opt_ba
 
-# Named single-photon polarization preparations: (theta, phi) on the Bloch sphere
-# over {H, V}.
-_NAMED_PREPS = {
-    "H": (0.0, 0.0),
-    "V": (math.pi, 0.0),
-    "+": (math.pi / 2, 0.0),
-    "-": (math.pi / 2, math.pi),
-    "R": (math.pi / 2, math.pi / 2),
-    "L": (math.pi / 2, 3 * math.pi / 2),
-}
-
-
-@dataclass(frozen=True)
-class PolarizationPrep:
-    theta: float
-    phi: float
-
-
-def named_prep(name: str) -> PolarizationPrep:
-    """One of the six protocol states H, V, +, -, R, L."""
-    try:
-        theta, phi = _NAMED_PREPS[name]
-    except KeyError:
-        raise ValueError(f"unknown preparation {name!r}") from None
-    return PolarizationPrep(theta, phi)
+    @property
+    def transmission_bab(self) -> float:
+        """Round-trip transmission t * eta_opt: the whole fiber loss."""
+        return 10.0 ** (-self.attenuation_db / 10.0) * self.eta_opt_bab
 
 
 # Retained basis combinations, labelled measurement-basis first (Alice, Bob).
@@ -137,41 +98,30 @@ PAIR_LABELS = ("ZZ", "XX", "XY", "YX", "YY")
 
 INTENSITY_LABELS = ("signal", "decoy1", "decoy2")
 
-# Representative preparation per pair, exploiting the model's symmetry: H for a
-# Z-basis source, + for X, R for Y.
-_REPRESENTATIVE_PREP = {"Z": "H", "X": "+", "Y": "R"}
 
-# Detector outcomes per measurement basis: (nominal, complementary). The primed
-# X/Y outcomes live in the receiver's rotated frame.
-_OUTCOMES = {"Z": ("H", "V"), "X": ("+'", "-'"), "Y": ("R'", "L'")}
+def _folded_amplitudes(beta_rad: float) -> dict[str, tuple[float, float]]:
+    """(nominal, complementary) squared detector amplitudes of every retained pair.
 
-
-@dataclass(frozen=True)
-class BasisPair:
-    """A retained (preparation basis, measurement basis) combination."""
-
-    prep: Basis
-    meas: Basis
-
-    def __post_init__(self):
-        if self.label not in PAIR_LABELS:
-            raise ValueError(f"basis pair {self.label} is not retained by the protocol")
-
-    @property
-    def label(self) -> str:
-        return f"{self.meas.value}{self.prep.value}"
-
-    @classmethod
-    def from_label(cls, label: str) -> "BasisPair":
-        if len(label) != 2:
-            raise ValueError(f"bad basis-pair label {label!r}")
-        return cls(prep=Basis(label[1]), meas=Basis(label[0]))
-
-    def representative_prep(self) -> PolarizationPrep:
-        return named_prep(_REPRESENTATIVE_PREP[self.prep.value])
-
-    def outcomes(self) -> tuple[str, str]:
-        return _OUTCOMES[self.meas.value]
+    Each pair is represented by one preparation: H for a Z-basis source, + for
+    X and R for Y. The frame misalignment rotates only the receiver's X-Y
+    plane, so a pair's two amplitudes are (1 +- s)/2 with s = 1 for ZZ,
+    cos(-beta) or sin(-beta) for the + state seen by X' or Y', and
+    cos(pi/2 - beta) or sin(pi/2 - beta) for the R state. These are the
+    Bloch-sphere projections cos(phi - beta) and sin(phi - beta) as written;
+    sin(beta) and cos(beta) would round differently. The nominal detector is
+    the more-illuminated one: the correlation sum C only uses squared
+    correlators, and this folding keeps the estimate symmetric under
+    beta -> -beta and beta -> 90 deg - beta.
+    """
+    right = math.pi / 2 - beta_rad
+    overlaps = {
+        "ZZ": 1.0,
+        "XX": math.cos(-beta_rad),
+        "XY": math.cos(right),
+        "YX": math.sin(-beta_rad),
+        "YY": math.sin(right),
+    }
+    return {label: ((1.0 + abs(s)) / 2.0, (1.0 - abs(s)) / 2.0) for label, s in overlaps.items()}
 
 
 @dataclass
@@ -183,8 +133,6 @@ class LegStatsTable:
     """
 
     entries: dict = field(default_factory=dict)
-    q_bab: float = 0.0
-    e_bab: float = 0.0
     q_ba_signal: float = 0.0
 
 
@@ -204,41 +152,6 @@ def poisson_pn(intensity: float, n: int) -> float:
 def distance_from_attenuation(spec: ChannelSpec) -> float:
     """One-way fiber distance in km implied by the round-trip attenuation."""
     return spec.attenuation_db / (2.0 * spec.alpha_db_per_km)
-
-
-def leg_transmission(spec: ChannelSpec, leg: Leg) -> float:
-    """Channel transmission efficiency t * eta_opt for the given leg."""
-    if leg is Leg.BA:
-        fiber_db = spec.attenuation_db / 2.0
-        eta_opt = spec.eta_opt_ba
-    elif leg is Leg.BAB:
-        fiber_db = spec.attenuation_db
-        eta_opt = spec.eta_opt_bab
-    else:
-        raise ValueError(f"unknown leg {leg!r}")
-    return 10.0 ** (-fiber_db / 10.0) * eta_opt
-
-
-def amplitude_sq(prep: PolarizationPrep, outcome: str, beta_rad: float) -> float:
-    """Squared projection amplitude of a prepared state onto a detector eigenstate.
-
-    ``outcome`` is one of H, V, +', -', R', L'; the primed states are the
-    receiver's X/Y eigenstates, rotated by the frame misalignment ``beta_rad``.
-    """
-    theta, phi = prep.theta, prep.phi
-    if outcome == "H":
-        return (1.0 + math.cos(theta)) / 2.0
-    if outcome == "V":
-        return (1.0 - math.cos(theta)) / 2.0
-    if outcome == "+'":
-        return (1.0 + math.sin(theta) * math.cos(phi - beta_rad)) / 2.0
-    if outcome == "-'":
-        return (1.0 - math.sin(theta) * math.cos(phi - beta_rad)) / 2.0
-    if outcome == "R'":
-        return (1.0 + math.sin(theta) * math.sin(phi - beta_rad)) / 2.0
-    if outcome == "L'":
-        return (1.0 - math.sin(theta) * math.sin(phi - beta_rad)) / 2.0
-    raise ValueError(f"unknown detector outcome {outcome!r}")
 
 
 def detector_yield(k: int, fy_sq: float, eta_d: float, pd: float) -> float:
@@ -265,40 +178,6 @@ def gain_component(intensity: float, eta_chan: float, eta_d: float, pd: float, f
     return (1.0 - pd) * math.exp(-mean * fy_sq) - (1.0 - pd) ** 2 * math.exp(-mean)
 
 
-def pair_stats(
-    spec: ChannelSpec,
-    eta_chan: float,
-    intensity: float,
-    pair: BasisPair,
-    prep: PolarizationPrep | None = None,
-    ed: float | None = None,
-) -> tuple[float, float]:
-    """Gain and error rate for one basis pair at one pulse intensity.
-
-    Uses the representative preparation for the pair unless ``prep`` is given.
-    ``ed`` defaults to the sender-side intrinsic error rate ``ed_a``.
-    """
-    if prep is None:
-        prep = pair.representative_prep()
-    if ed is None:
-        ed = spec.ed_a
-    out_x, out_y = pair.outcomes()
-    fx_sq = amplitude_sq(prep, out_x, spec.beta_rad)
-    fy_sq = amplitude_sq(prep, out_y, spec.beta_rad)
-    # the nominal detector is the more-illuminated one; the correlation sum C
-    # only uses squared correlators, and this folding keeps the estimate
-    # symmetric under beta -> -beta and beta -> 90 deg - beta
-    if fx_sq < fy_sq:
-        fx_sq, fy_sq = fy_sq, fx_sq
-    q_x = gain_component(intensity, eta_chan, spec.eta_d, spec.pd, fy_sq)
-    q_y = gain_component(intensity, eta_chan, spec.eta_d, spec.pd, fx_sq)
-    q = q_x + q_y
-    if q <= 0.0:
-        raise NoClicksError(f"zero gain for pair {pair.label} at intensity {intensity}")
-    e = (ed * q_x + (1.0 - ed) * q_y) / q
-    return q, e
-
-
 def ba_observed(spec: ChannelSpec, intensities: dict[str, float]) -> LegStatsTable:
     """Fill the one-way-leg statistics table for all retained pairs and intensities.
 
@@ -311,13 +190,18 @@ def ba_observed(spec: ChannelSpec, intensities: dict[str, float]) -> LegStatsTab
     mu, d1, d2 = (intensities[k] for k in INTENSITY_LABELS)
     if not (mu > d1 > d2 >= 0.0):
         raise ValueError(f"intensities must satisfy signal > decoy1 > decoy2 >= 0, got {mu}, {d1}, {d2}")
-    eta = leg_transmission(spec, Leg.BA)
+    eta = spec.transmission_ba
+    amplitudes = _folded_amplitudes(spec.beta_rad)
     table = LegStatsTable()
     for label in INTENSITY_LABELS:
-        for pair_label in PAIR_LABELS:
-            pair = BasisPair.from_label(pair_label)
-            q, e = pair_stats(spec, eta, intensities[label], pair)
-            table.entries[(label, pair_label)] = (q, e)
+        intensity = intensities[label]
+        for pair_label, (nominal_sq, other_sq) in amplitudes.items():
+            q_x = gain_component(intensity, eta, spec.eta_d, spec.pd, other_sq)
+            q_y = gain_component(intensity, eta, spec.eta_d, spec.pd, nominal_sq)
+            q = q_x + q_y
+            if q <= 0.0:
+                raise NoClicksError(f"zero gain for pair {pair_label} at intensity {intensity}")
+            table.entries[(label, pair_label)] = (q, (spec.ed_a * q_x + (1.0 - spec.ed_a) * q_y) / q)
     table.q_ba_signal = table.entries[("signal", "ZZ")][0]
     return table
 
@@ -326,7 +210,7 @@ def bab_stats(spec: ChannelSpec, mu: float) -> tuple[float, float]:
     """Round-trip gain and QBER, modeled as a Z-basis pass through both legs."""
     if mu < 0:
         raise ValueError(f"mu must be >= 0, got {mu}")
-    eta = leg_transmission(spec, Leg.BAB)
+    eta = spec.transmission_bab
     q_x = gain_component(mu, eta, spec.eta_d, spec.pd, 0.0)
     q_y = gain_component(mu, eta, spec.eta_d, spec.pd, 1.0)
     q = q_x + q_y

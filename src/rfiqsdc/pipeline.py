@@ -88,6 +88,8 @@ class ScanConfig:
             raise ValueError(f"bad scan mode {self.mode!r}")
         if self.mode == "fixed" and not self.fixed_mus:
             raise ValueError("fixed-intensity scan requires at least one mu in fixed_mus")
+        if self.mode == "optimized" and self.fixed_mus:
+            raise ValueError("an optimized scan chooses its own mu and takes no fixed_mus")
 
     def attenuation_grid(self):
         n = int(math.floor((self.atten_stop_db - self.atten_start_db) / self.atten_step_db + 1e-9)) + 1

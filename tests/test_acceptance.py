@@ -40,7 +40,6 @@ from rfiqsdc.decoy import (
     solve_lp,
 )
 from rfiqsdc.photonics import (
-    BasisPair,
     ChannelSpec,
     ba_observed,
     gain_component,
@@ -245,8 +244,7 @@ def test_criterion_07_decoy_sandwich():
                 bounds = estimate_bounds(table, intensities, DEFAULT_N_CUT)
                 true_c = 0.0
                 for label in ("ZZ", "XX", "XY", "YX", "YY"):
-                    pair = BasisPair.from_label(label)
-                    y1_true, z1_true = true_n_photon_stats(spec, pair, 1)
+                    y1_true, z1_true = true_n_photon_stats(spec, label, 1)
                     e1_true = z1_true / y1_true
                     if not bounds.y1[label][0] - 1e-9 <= y1_true <= bounds.y1[label][1] + 1e-9:
                         violations.append((atten, beta_deg, mu, label, "y1"))
@@ -270,7 +268,7 @@ def test_criterion_07_decoy_sandwich():
         table = ba_observed(spec, intensities)
         bounds = estimate_bounds(table, intensities, DEFAULT_N_CUT)
         for label in ("ZZ", "XX", "XY", "YX", "YY"):
-            y1_true, z1_true = true_n_photon_stats(spec, BasisPair.from_label(label), 1)
+            y1_true, z1_true = true_n_photon_stats(spec, label, 1)
             if not bounds.y1[label][0] - 1e-9 <= y1_true <= bounds.y1[label][1] + 1e-9:
                 violations.append((spec.attenuation_db, spec.beta_rad, mu, label, "y1"))
         count += 1

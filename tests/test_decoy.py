@@ -18,7 +18,7 @@ from rfiqsdc.decoy import (
     solve_lp,
     solve_lps,
 )
-from rfiqsdc.photonics import BasisPair, ChannelSpec, LegStatsTable, ba_observed, poisson_pn
+from rfiqsdc.photonics import ChannelSpec, LegStatsTable, ba_observed, poisson_pn
 from rfiqsdc.pipeline import evaluate_point
 
 
@@ -220,8 +220,7 @@ class TestEstimateBounds:
                     bounds = estimate_bounds(table, intensities, DEFAULT_N_CUT)
                     true_c = 0.0
                     for label in ("ZZ", "XX", "XY", "YX", "YY"):
-                        pair = BasisPair.from_label(label)
-                        y1_true, z1_true = true_n_photon_stats(spec, pair, 1)
+                        y1_true, z1_true = true_n_photon_stats(spec, label, 1)
                         e1_true = z1_true / y1_true
                         y1_lo, y1_hi = bounds.y1[label]
                         assert y1_lo - 1e-9 <= y1_true <= y1_hi + 1e-9
@@ -230,7 +229,7 @@ class TestEstimateBounds:
                         if label != "ZZ":
                             true_c += (1.0 - 2.0 * e1_true) ** 2
                         else:
-                            y0_true, _ = true_n_photon_stats(spec, pair, 0)
+                            y0_true, _ = true_n_photon_stats(spec, label, 0)
                             assert bounds.y0[0] - 1e-12 <= y0_true <= bounds.y0[1] + 1e-12
                     assert bounds.c_lower <= true_c + 1e-9
                     count += 1

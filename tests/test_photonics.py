@@ -7,25 +7,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle_utils import gain_by_sum, true_n_photon_stats
+from oracle_utils import folded_amplitudes, gain_by_sum, true_n_photon_stats
 from rfiqsdc.photonics import (
-    Basis,
-    BasisPair,
     ChannelSpec,
-    Leg,
     NoClicksError,
     PAIR_LABELS,
-    amplitude_sq,
+    _folded_amplitudes,
     ba_observed,
     bab_stats,
     detector_yield,
     distance_from_attenuation,
     gain_component,
-    leg_transmission,
-    named_prep,
-    pair_stats,
     poisson_pn,
 )
+
+INTENSITIES = {"signal": 0.1, "decoy1": 0.005, "decoy2": 0.001}
 
 
 class TestPoisson:
@@ -56,11 +52,11 @@ class TestChannel:
 
     def test_leg_transmission(self):
         spec = ChannelSpec(attenuation_db=0.0)
-        assert leg_transmission(spec, Leg.BA) == pytest.approx(0.21)
+        assert spec.transmission_ba == pytest.approx(0.21)
         spec10 = ChannelSpec(attenuation_db=10.0)
-        assert leg_transmission(spec10, Leg.BA) == pytest.approx(0.21 * 10**-0.5, abs=1e-9)
-        assert leg_transmission(spec10, Leg.BA) == pytest.approx(0.066408, abs=1e-6)
-        assert leg_transmission(spec10, Leg.BAB) == pytest.approx(0.0088, abs=1e-12)
+        assert spec10.transmission_ba == pytest.approx(0.21 * 10**-0.5, abs=1e-9)
+        assert spec10.transmission_ba == pytest.approx(0.066408, abs=1e-6)
+        assert spec10.transmission_bab == pytest.approx(0.0088, abs=1e-12)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -80,31 +76,46 @@ class TestChannel:
 
 
 class TestAmplitudes:
+    """The closed-form (nominal, complementary) amplitude table of the five pairs."""
+
     def test_matched_state_aligned(self):
-        assert amplitude_sq(named_prep("+"), "+'", 0.0) == pytest.approx(1.0)
+        assert _folded_amplitudes(0.0)["XX"] == (1.0, 0.0)
 
     def test_misaligned_projection(self):
         beta = math.radians(45.0)
-        assert amplitude_sq(named_prep("+"), "+'", beta) == pytest.approx(
-            (1 + math.cos(beta)) / 2, abs=1e-12
-        )
-        assert amplitude_sq(named_prep("+"), "+'", beta) == pytest.approx(0.853553, abs=1e-6)
+        nominal, _ = _folded_amplitudes(beta)["XX"]
+        assert nominal == pytest.approx((1 + math.cos(beta)) / 2, abs=1e-12)
+        assert nominal == pytest.approx(0.853553, abs=1e-6)
 
     def test_cross_basis_coupling(self):
-        # an R preparation seen by the rotated X basis picks up sin(phi - beta)
-        beta = math.radians(45.0)
-        assert amplitude_sq(named_prep("R"), "+'", beta) == pytest.approx(0.853553, abs=1e-6)
+        # an R preparation seen by the rotated X basis picks up cos(pi/2 - beta)
+        assert _folded_amplitudes(0.0)["XY"] == pytest.approx((0.5, 0.5), abs=1e-15)
+        nominal, _ = _folded_amplitudes(math.radians(45.0))["XY"]
+        assert nominal == pytest.approx(0.853553, abs=1e-6)
 
     @settings(max_examples=200, deadline=None)
-    @given(
-        name=st.sampled_from(["H", "V", "+", "-", "R", "L"]),
-        beta=st.floats(-10.0, 10.0),
-        outcome_pair=st.sampled_from([("H", "V"), ("+'", "-'"), ("R'", "L'")]),
-    )
-    def test_complementarity(self, name, beta, outcome_pair):
-        prep = named_prep(name)
-        total = amplitude_sq(prep, outcome_pair[0], beta) + amplitude_sq(prep, outcome_pair[1], beta)
-        assert abs(total - 1.0) <= 1e-12
+    @given(beta=st.floats(-10.0, 10.0), label=st.sampled_from(PAIR_LABELS))
+    def test_complementarity(self, beta, label):
+        nominal, other = _folded_amplitudes(beta)[label]
+        assert nominal >= other
+        assert abs(nominal + other - 1.0) <= 1e-12
+
+    @staticmethod
+    def _assert_equals_bloch_oracle(beta):
+        table = _folded_amplitudes(beta)
+        assert tuple(table) == PAIR_LABELS
+        for label in PAIR_LABELS:
+            assert table[label] == folded_amplitudes(ChannelSpec(beta_rad=beta), label), (label, beta)
+
+    def test_equals_bloch_oracle_on_grid(self):
+        # bit for bit: every observed gain downstream inherits these amplitudes
+        for half_degrees in range(181):
+            self._assert_equals_bloch_oracle(math.radians(half_degrees / 2))
+
+    @settings(max_examples=300, deadline=None)
+    @given(beta=st.floats(-10.0, 10.0))
+    def test_equals_bloch_oracle_at_any_beta(self, beta):
+        self._assert_equals_bloch_oracle(beta)
 
 
 class TestDetector:
@@ -154,55 +165,38 @@ class TestGain:
 class TestPairStats:
     def test_aligned_noiseless_x_basis(self):
         spec = ChannelSpec(attenuation_db=4.0, pd=0.0, ed_a=0.0, beta_rad=0.0)
-        eta = leg_transmission(spec, Leg.BA)
-        _, e = pair_stats(spec, eta, 0.1, BasisPair.from_label("XX"))
+        _, e = ba_observed(spec, INTENSITIES).entries[("signal", "XX")]
         assert e == pytest.approx(0.0, abs=1e-12)
 
     def test_single_photon_limit_misaligned(self):
         spec = ChannelSpec(attenuation_db=4.0, pd=0.0, ed_a=0.0, beta_rad=math.radians(45.0))
-        eta = leg_transmission(spec, Leg.BA)
-        _, e = pair_stats(spec, eta, 1e-9, BasisPair.from_label("XX"))
+        table = ba_observed(spec, {"signal": 1e-9, "decoy1": 5e-10, "decoy2": 1e-10})
+        _, e = table.entries[("signal", "XX")]
         assert e == pytest.approx((1 - math.cos(math.radians(45.0))) / 2, abs=1e-6)
         assert e == pytest.approx(0.146447, abs=1e-5)
 
     def test_matches_truncated_sum_oracle(self):
-        spec = ChannelSpec(attenuation_db=4.0)
-        eta = leg_transmission(spec, Leg.BA)
-        for label in PAIR_LABELS:
-            pair = BasisPair.from_label(label)
-            q, e = pair_stats(spec, eta, 0.1, pair)
-            q_sum = 0.0
-            z_sum = 0.0
-            for n in range(81):
-                y_n, z_n = true_n_photon_stats(spec, pair, n)
-                p = poisson_pn(0.1, n)
-                q_sum += p * y_n
-                z_sum += p * z_n
-            assert q == pytest.approx(q_sum, abs=1e-10)
-            assert e == pytest.approx(z_sum / q_sum, abs=1e-10)
-
-    def test_beta_shift_equivalence(self):
-        # rotations enter only through phi - beta for the X/Y pairs
-        delta = 0.37
-        for label in ("XX", "XY", "YX", "YY"):
-            pair = BasisPair.from_label(label)
-            base = ChannelSpec(attenuation_db=6.0, beta_rad=0.2)
-            shifted = ChannelSpec(attenuation_db=6.0, beta_rad=0.2 + delta)
-            eta = leg_transmission(base, Leg.BA)
-            prep = pair.representative_prep()
-            prep_shifted = type(prep)(prep.theta, prep.phi + delta)
-            q1, e1 = pair_stats(base, eta, 0.05, pair)
-            q2, e2 = pair_stats(shifted, eta, 0.05, pair, prep=prep_shifted)
-            assert q1 == pytest.approx(q2, abs=1e-15)
-            assert e1 == pytest.approx(e2, abs=1e-12)
+        for beta in (0.0, 0.3):
+            spec = ChannelSpec(attenuation_db=4.0, beta_rad=beta)
+            table = ba_observed(spec, INTENSITIES)
+            for (intensity_label, label), (q, e) in table.entries.items():
+                q_sum = 0.0
+                z_sum = 0.0
+                for n in range(81):
+                    y_n, z_n = true_n_photon_stats(spec, label, n)
+                    p = poisson_pn(INTENSITIES[intensity_label], n)
+                    q_sum += p * y_n
+                    z_sum += p * z_n
+                assert q == pytest.approx(q_sum, abs=1e-10)
+                assert e == pytest.approx(z_sum / q_sum, abs=1e-10)
 
     def test_vacuum_floor_and_monotonicity(self):
         spec = ChannelSpec(attenuation_db=8.0, beta_rad=0.3)
-        eta = leg_transmission(spec, Leg.BA)
         vacuum = 2 * spec.pd * (1 - spec.pd) - spec.pd**2
         last = 0.0
         for intensity in (1e-4, 1e-3, 0.01, 0.05, 0.1, 0.3):
-            q, e = pair_stats(spec, eta, intensity, BasisPair.from_label("XY"))
+            table = ba_observed(spec, {"signal": intensity, "decoy1": intensity / 2, "decoy2": 0.0})
+            q, e = table.entries[("signal", "XY")]
             assert q >= vacuum - 1e-18
             assert q >= last
             last = q
@@ -210,20 +204,18 @@ class TestPairStats:
 
     def test_no_clicks_error(self):
         spec = ChannelSpec(attenuation_db=4.0, pd=0.0)
-        with pytest.raises(NoClicksError):
-            pair_stats(spec, 0.0, 0.0, BasisPair.from_label("ZZ"))
+        with pytest.raises(NoClicksError, match="pair ZZ at intensity 0.0"):
+            ba_observed(spec, {"signal": 0.1, "decoy1": 0.01, "decoy2": 0.0})
+        with pytest.raises(NoClicksError, match="round-trip"):
+            bab_stats(spec, 0.0)
 
 
 class TestBasisPair:
-    def test_only_retained_pairs(self):
-        with pytest.raises(ValueError):
-            BasisPair(prep=Basis.X, meas=Basis.Z)
-        assert BasisPair.from_label("XY").label == "XY"
-
     def test_observed_table_shape(self):
         spec = ChannelSpec(attenuation_db=2.0)
-        table = ba_observed(spec, {"signal": 0.1, "decoy1": 0.005, "decoy2": 0.001})
+        table = ba_observed(spec, INTENSITIES)
         assert len(table.entries) == 15
+        assert {pair for _, pair in table.entries} == {"ZZ", "XX", "XY", "YX", "YY"}
         assert table.q_ba_signal == table.entries[("signal", "ZZ")][0]
         for q, e in table.entries.values():
             assert 0.0 <= q <= 1.0
@@ -231,7 +223,7 @@ class TestBasisPair:
 
     def test_aligned_xy_errors_equiprobable(self):
         spec = ChannelSpec(attenuation_db=0.0, beta_rad=0.0)
-        table = ba_observed(spec, {"signal": 0.1, "decoy1": 0.005, "decoy2": 0.001})
+        table = ba_observed(spec, INTENSITIES)
         _, e_zz = table.entries[("signal", "ZZ")]
         _, e_xy = table.entries[("signal", "XY")]
         assert e_zz == pytest.approx(spec.ed_a, abs=1e-3)

@@ -48,6 +48,32 @@ class TestEvaluatePoint:
         assert plus.capacity == pytest.approx(minus.capacity, abs=1e-9)
         assert plus.c_lower == pytest.approx(minus.c_lower, abs=1e-9)
 
+    @pytest.mark.parametrize(
+        "flag, zz_y1, c_lower",
+        [
+            ("vacuous_y1", (0.0, 1.0), None),  # the decoy bounds say nothing about Y1
+            ("qn2_clamped", (0.5, 0.5), None),  # more single-photon gain than was observed
+            ("c_lower_clamped", None, 2.5),  # above the invariant's maximum of 2
+        ],
+        ids=["vacuous_y1", "qn2_clamped", "c_lower_clamped"],
+    )
+    def test_diagnostic_flags(self, monkeypatch, flag, zz_y1, c_lower):
+        honest = evaluate_point(ChannelSpec(), 6.0, 0.0, 0.05)
+        read_bounds = decoy.read_bounds
+
+        def patched(values):
+            bounds = read_bounds(values)
+            if zz_y1 is not None:
+                bounds.y1["ZZ"] = zz_y1
+            if c_lower is not None:
+                bounds.c_lower = c_lower
+            return bounds
+
+        monkeypatch.setattr(decoy, "read_bounds", patched)
+        point = evaluate_point(ChannelSpec(), 6.0, 0.0, 0.05)
+        assert point.flags == [flag]
+        assert point.c_lower == (2.0 if c_lower is not None else honest.c_lower)
+
     def test_failure_is_flagged_not_raised(self):
         # channel with no dark counts and complete loss: zero gain everywhere
         dead = ChannelSpec(pd=0.0, eta_d=0.0)
@@ -245,8 +271,19 @@ class TestScan:
         (MuSearchSpec, {"rel_tol": -1.0}),  # would never end the golden-section loop
         (EstimatorSpec, {"decoy_ratios": (0.01, 0.05)}),
         (EstimatorSpec, {"n_cut": 1}),
+        (ChannelSpec, {"attenuation_db": math.nan}),
+        (ChannelSpec, {"attenuation_db": math.inf}),
+        (ChannelSpec, {"attenuation_db": -math.inf}),
+        (ChannelSpec, {"alpha_db_per_km": math.nan}),
+        (ChannelSpec, {"alpha_db_per_km": math.inf}),
+        (ChannelSpec, {"alpha_db_per_km": -math.inf}),
+        (ScanConfig, {"mode": "optimized", "fixed_mus": (0.05,)}),  # the search picks its own mu
     ],
-    ids=["rel_tol-zero", "rel_tol-negative", "decoy-ratios-swapped", "n_cut-1"],
+    ids=[
+        "rel_tol-zero", "rel_tol-negative", "decoy-ratios-swapped", "n_cut-1",
+        "attenuation-nan", "attenuation-inf", "attenuation-neg-inf",
+        "alpha-nan", "alpha-inf", "alpha-neg-inf", "optimized-with-fixed-mus",
+    ],
 )
 def test_spec_validation(spec, kwargs):
     with pytest.raises(ValueError):
