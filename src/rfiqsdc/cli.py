@@ -409,34 +409,29 @@ def _cmd_cutoff(config: RunConfig, args, reporter: _Reporter) -> int:
     return EXIT_OK
 
 
-def vertex_enumeration_optimum(objective, rows, bounds, sense) -> float | None:
-    """Exact optimum of a small boxed LP by enumerating basic feasible points.
+def vertex_enumeration_optimum(objective, a, lo, hi, sense) -> float | None:
+    """Exact optimum of a small LP over the box [0, 1]^n by enumerating basic feasible points.
 
     The reference the LP solver is checked against, here and in the tests; it
-    shares no code with ``decoy``. ``rows`` is a list of (coefficients,
-    relation, bound) with relation in {"<=", ">="}; box faces count as
+    shares no code with ``decoy``. The rows are ranged, ``lo <= a @ x <= hi``,
+    with an infinite side absent; finite row sides and box faces count as
     constraints. Returns None if no vertex is feasible.
     """
     n = len(objective)
-    less_equal = []  # every row as "<="
-    for coeffs, rel, bound in rows:
-        sign = -1.0 if rel == ">=" else 1.0
-        less_equal.append((sign * np.asarray(coeffs, dtype=float), sign * bound))
-    faces = []  # (normal, offset) of every hyperplane a vertex can lie on
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = 1.0
-        faces += [(e, bounds[i][0]), (e, bounds[i][1])]
-    faces += less_equal
+    a = np.asarray(a, dtype=float).reshape(-1, n)
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    box = np.eye(n)
+    faces = [(box[i], side) for i in range(n) for side in (0.0, 1.0)]  # (normal, offset) of every hyperplane
+    faces += [(row, side) for row, *sides in zip(a, lo, hi) for side in sides if math.isfinite(side)]
     best = None
     for chosen in combinations(faces, n):
-        a = np.array([normal for normal, _ in chosen])
-        if abs(np.linalg.det(a)) < 1e-12:
+        normals = np.array([normal for normal, _ in chosen])
+        if abs(np.linalg.det(normals)) < 1e-12:
             continue
-        x = np.linalg.solve(a, np.array([offset for _, offset in chosen]))
-        if not all(bounds[i][0] - 1e-9 <= x[i] <= bounds[i][1] + 1e-9 for i in range(n)):
+        x = np.linalg.solve(normals, np.array([offset for _, offset in chosen]))
+        if np.any(x < -1e-9) or np.any(x > 1.0 + 1e-9):
             continue
-        if not all(np.dot(c, x) <= b + 1e-9 for c, b in less_equal):
+        if np.any(a @ x < lo - 1e-9) or np.any(a @ x > hi + 1e-9):
             continue
         value = float(np.dot(objective, x))
         if best is None or (value < best if sense == "minimize" else value > best):
@@ -485,18 +480,16 @@ def _selftest_lp(rng) -> bool:
     for _ in range(20):
         n = 4
         objective = rng.uniform(-1, 1, size=n)
-        a_ub = rng.uniform(-1, 1, size=(3, n))
-        b_ub = rng.uniform(0.5, 2.0, size=3)
-        bounds = [(0.0, 1.0)] * n
-        rows = [(a_ub[i], "<=", b_ub[i]) for i in range(3)]
-        lp = decoy.LinearProgram(
-            sense="minimize", objective=objective, constraints=rows, variable_bounds=bounds
-        )
-        try:
-            value, _ = decoy.solve_lp(lp)
-        except decoy.InfeasibleError:
-            continue
-        reference = vertex_enumeration_optimum(objective, rows, bounds, "minimize")
+        a = rng.uniform(-1, 1, size=(3, n))
+        # every row holds at an interior point, so every program is feasible;
+        # row 0 is "<=", row 1 is ">=" and row 2 is two-sided, as in production
+        level = a @ rng.uniform(0.2, 0.8, size=n)
+        lo = level - rng.uniform(0.0, 0.5, size=3)
+        hi = level + rng.uniform(0.0, 0.5, size=3)
+        lo[0], hi[1] = -math.inf, math.inf
+        sense = rng.choice(["minimize", "maximize"])
+        (value,), _ = decoy.solve_lps(decoy.LinearPrograms.single(sense, objective, a, lo, hi))
+        reference = vertex_enumeration_optimum(objective, a, lo, hi, sense)
         if reference is None or abs(value - reference) > 1e-9:
             return False
     return True

@@ -1,31 +1,29 @@
 """Decoy-state estimation: LP bounds on single-photon yields and error rates.
 
-The observed multi-intensity gains constrain the per-photon-number yields
-through two-sided Poisson-weighted inequalities; small linear programs
-extremize the single-photon quantities, and the resulting intervals compose
-into a conservative lower bound on the correlation invariant C. Programs are
-solved together as one block-diagonal program: a point's 22 in
-``estimate_bounds``, or those of several points (``pipeline.evaluate_points``).
+Each observed multi-intensity gain constrains the per-photon-number yields
+through one ranged Poisson-weighted row; small linear programs extremize the
+single-photon quantities, and the resulting intervals compose into a
+conservative lower bound on the correlation invariant C. Programs are held in
+matrix form and solved together as one block-diagonal program: a point's 22
+in ``estimate_bounds``, or those of several points (``pipeline.evaluate_points``).
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import coo_array
+from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.sparse import block_diag, csc_array
 
 from .photonics import INTENSITY_LABELS, PAIR_LABELS, LegStatsTable, poisson_pn
 
 __all__ = [
-    "LinearProgram",
+    "LinearPrograms",
     "BoundsSet",
     "InfeasibleError",
-    "build_yield_lp",
-    "build_error_lp",
-    "solve_lp",
+    "stack",
     "solve_lps",
     "bound_programs",
     "read_bounds",
@@ -35,7 +33,7 @@ __all__ = [
 
 DEFAULT_N_CUT = 10
 
-_SENSES = ("minimize", "maximize")
+_SIGNS = {"minimize": 1.0, "maximize": -1.0}
 
 
 class InfeasibleError(RuntimeError):
@@ -43,162 +41,92 @@ class InfeasibleError(RuntimeError):
 
 
 @dataclass
-class LinearProgram:
-    """A small LP: extremize ``objective . x`` under inequality rows and boxes.
+class LinearPrograms:
+    """Independent boxed LPs in matrix form, as one block-diagonal program.
 
-    ``constraints`` is a list of (coefficients, relation, bound) with relation
-    one of "<=" and ">=".
+    Block b owns the columns ``col0[b]:col0[b + 1]`` and extremizes
+    ``objective`` over them, minimizing where ``sign[b]`` is 1 and maximizing
+    where it is -1, subject to the ranged rows ``lo <= matrix @ x <= hi`` (an
+    infinite side is absent) and 0 <= x <= 1. No row of the CSC ``matrix``
+    touches two blocks.
     """
 
-    sense: str  # "minimize" | "maximize"
     objective: np.ndarray
-    constraints: list = field(default_factory=list)
-    variable_bounds: list = field(default_factory=list)
+    matrix: csc_array
+    lo: np.ndarray
+    hi: np.ndarray
+    col0: np.ndarray
+    sign: np.ndarray
 
-    def __post_init__(self):
-        if self.sense not in _SENSES:
-            raise ValueError(f"bad sense {self.sense!r}")
-        n = len(self.objective)
-        for coeffs, rel, _ in self.constraints:
-            if len(coeffs) != n:
-                raise ValueError("constraint dimension mismatch")
-            if rel not in ("<=", ">="):
-                raise ValueError(f"bad relation {rel!r}")
-        if len(self.variable_bounds) != n:
-            raise ValueError("variable bound dimension mismatch")
+    def __len__(self):
+        return len(self.sign)
 
-
-def _poisson_weights(intensities, n_cut):
-    """Row k holds P_n(intensities[k]) for n = 0..n_cut."""
-    return np.array([[poisson_pn(intensity, n) for n in range(n_cut + 1)] for intensity in intensities])
-
-
-def _two_sided_rows(weights, observed, fluctuation):
-    """Two-sided decoy constraints: the Poisson-weighted sum of the variables
-    must bracket each observed value o up to the truncated tail mass, widened
-    by ``fluctuation * sqrt(o)`` on both sides for the statistical fluctuation
-    of o (zero for exact observations). ``weights`` row k weighs ``observed[k]``."""
-    rows = []
-    for p, value in zip(weights, observed):
-        tail = 1.0 - p.sum()
-        spread = fluctuation * math.sqrt(max(value, 0.0))
-        rows.append((p, "<=", value + spread))
-        rows.append((p, ">=", value - spread - tail))
-    return rows
+    @classmethod
+    def single(cls, sense: str, objective, a, lo, hi) -> LinearPrograms:
+        """One program with the dense row matrix ``a``; ``sense`` is "minimize" or "maximize"."""
+        if sense not in _SIGNS:
+            raise ValueError(f"bad sense {sense!r}")
+        objective = np.asarray(objective, dtype=float)
+        a = np.asarray(a, dtype=float).reshape(-1, len(objective))
+        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+        if lo.shape != (len(a),) or hi.shape != (len(a),):
+            raise ValueError("row bound dimension mismatch")
+        return cls(objective, csc_array(a), lo, hi, np.array([0, len(objective)]), np.array([_SIGNS[sense]]))
 
 
-def _unit_lp(n_var, target, rows, sense) -> LinearProgram:
-    """Extremize variable ``target`` of ``n_var`` variables boxed to [0, 1]."""
-    objective = np.zeros(n_var)
-    objective[target] = 1.0
-    return LinearProgram(sense=sense, objective=objective, constraints=rows, variable_bounds=[(0.0, 1.0)] * n_var)
+def stack(programs) -> LinearPrograms:
+    """The block-diagonal program of several programs, their blocks in order."""
+    if len(programs) == 1:
+        return programs[0]
+    rows = np.cumsum([0] + [len(p.lo) for p in programs])
+    cols = np.cumsum([0] + [len(p.objective) for p in programs])
+    nnz = np.cumsum([0] + [p.matrix.nnz for p in programs])
+    matrix = csc_array(
+        (
+            np.concatenate([p.matrix.data for p in programs]),
+            np.concatenate([p.matrix.indices + r for p, r in zip(programs, rows)]),
+            np.concatenate([[0]] + [p.matrix.indptr[1:] + k for p, k in zip(programs, nnz)]),
+        ),
+        shape=(rows[-1], cols[-1]),
+    )
+    return LinearPrograms(
+        objective=np.concatenate([p.objective for p in programs]),
+        matrix=matrix,
+        lo=np.concatenate([p.lo for p in programs]),
+        hi=np.concatenate([p.hi for p in programs]),
+        col0=np.concatenate([p.col0[:-1] + c for p, c in zip(programs, cols)] + [cols[-1:]]),
+        sign=np.concatenate([p.sign for p in programs]),
+    )
 
 
-def _observation_rows(observations, n_cut, fluctuation):
-    """Two-sided rows for (intensity, observed value) pairs."""
-    if len({i for i, _ in observations}) < 2:
-        raise ValueError("at least two distinct intensities required")
-    if n_cut < 2:
-        raise ValueError(f"n_cut must be >= 2, got {n_cut}")
-    intensities, observed = zip(*observations)
-    return _two_sided_rows(_poisson_weights(intensities, n_cut), observed, fluctuation)
-
-
-def build_yield_lp(
-    observations, n_cut: int, target_n: int, sense: str, fluctuation: float = 0.0
-) -> LinearProgram:
-    """LP bounding the ``target_n``-photon yield from (intensity, gain) pairs.
-
-    ``fluctuation`` is u / sqrt(N): each gain Q is known to within
-    Q +- fluctuation * sqrt(Q). Zero treats the gains as exact.
-    """
-    rows = _observation_rows(observations, n_cut, fluctuation)
-    if not 0 <= target_n <= n_cut:
-        raise ValueError(f"target_n must be in [0, {n_cut}], got {target_n}")
-    return _unit_lp(n_cut + 1, target_n, rows, sense)
-
-
-def build_error_lp(observations, n_cut: int, sense: str, fluctuation: float = 0.0) -> LinearProgram:
-    """LP bounding the single-photon error-weighted yield z1 = e1*Y1.
-
-    ``observations`` holds (intensity, Q*E) pairs; the variables are the
-    error-weighted yields z_n, each boxed to [0, 1]. ``fluctuation`` widens the
-    observations as in ``build_yield_lp``.
-    """
-    return _unit_lp(n_cut + 1, 1, _observation_rows(observations, n_cut, fluctuation), sense)
-
-
-def _stacked_rows(lps, col0, n_total):
-    """Every constraint row of ``lps`` as one sparse block-diagonal ``A_ub x <= b_ub``.
-
-    Each row is divided by its infinity norm, since the Poisson weights span
-    many orders of magnitude; ">=" rows are then negated into "<=" rows.
-    """
-    coeffs, bound, flip, row_col0 = [], [], [], []
-    for lp, c0 in zip(lps, col0):
-        for c, rel, b in lp.constraints:
-            coeffs.append(c)
-            bound.append(b)
-            flip.append(rel == ">=")
-            row_col0.append(c0)
-    lengths = np.array([len(c) for c in coeffs])
-    starts = np.cumsum(lengths) - lengths
-    data = np.concatenate(coeffs).astype(float)
-    scale = np.maximum.reduceat(np.abs(data), starts)
-    scale[scale == 0.0] = 1.0
-    data = data / np.repeat(scale, lengths)
-    b_ub = np.asarray(bound, dtype=float) / scale
-    flip = np.asarray(flip)
-    np.negative(data, out=data, where=np.repeat(flip, lengths))
-    np.negative(b_ub, out=b_ub, where=flip)
-    row = np.repeat(np.arange(len(coeffs)), lengths)
-    col = np.arange(len(data)) - np.repeat(starts - np.asarray(row_col0), lengths)
-    keep = data != 0.0
-    a_ub = coo_array((data[keep], (row[keep], col[keep])), shape=(len(coeffs), n_total))
-    return a_ub, b_ub
-
-
-def solve_lps(lps) -> list[tuple[float, np.ndarray]]:
-    """Solve independent boxed LPs as one block-diagonal program; deterministic
-    for identical input.
+def solve_lps(programs: LinearPrograms) -> tuple[np.ndarray, np.ndarray]:
+    """Solve every block of ``programs`` in one HiGHS call; deterministic for
+    identical input.
 
     The blocks share no variable and no row, so each block's part of the
     stacked optimum is that block's own optimum, and the stacked program is
-    infeasible exactly when some block is. Returns (optimum, x) per LP.
+    infeasible exactly when some block is. Returns each block's optimum and
+    the stacked solution x.
     """
-    widths = np.array([len(lp.objective) for lp in lps])
-    col0 = np.cumsum(widths) - widths
-    n_total = int(widths.sum())
-    objective = np.concatenate(
-        [np.asarray(lp.objective, dtype=float) * (1.0 if lp.sense == "minimize" else -1.0) for lp in lps]
-    )
-    a_ub = b_ub = None
-    if any(lp.constraints for lp in lps):
-        a_ub, b_ub = _stacked_rows(lps, col0, n_total)
-    # presolve rejects the nearly-degenerate two-sided rows that arise when the
-    # truncated Poisson tail underflows; the bare solver handles them fine
-    res = linprog(
-        objective,
-        A_ub=a_ub,
-        b_ub=b_ub,
-        bounds=[b for lp in lps for b in lp.variable_bounds],
-        method="highs",
+    # presolve declares infeasible the nearly-degenerate ranged rows that arise
+    # when the truncated Poisson tail underflows (seen with tight_z_bounds and
+    # exact observations); the bare solver handles them fine
+    res = milp(
+        programs.objective * np.repeat(programs.sign, np.diff(programs.col0)),
+        constraints=LinearConstraint(programs.matrix, programs.lo, programs.hi),
+        bounds=Bounds(0.0, 1.0),
         options={"presolve": False},
     )
     if res.status == 2:
         raise InfeasibleError("inconsistent observations: no feasible yield decomposition")
     if res.status != 0:
         raise RuntimeError(f"LP solver failure (status {res.status}): {res.message}")
-    solutions = []
-    for lp, c0, width in zip(lps, col0, widths):
-        x = res.x[c0 : c0 + width]
-        solutions.append((float(np.dot(lp.objective, x)), x))
-    return solutions
+    return np.add.reduceat(programs.objective * res.x, programs.col0[:-1]), res.x
 
 
-def solve_lp(lp: LinearProgram) -> tuple[float, np.ndarray]:
-    """Solve one boxed LP: the single-block case of ``solve_lps``."""
-    return solve_lps([lp])[0]
+def _poisson_weights(intensities, n_cut):
+    """Row k holds P_n(intensities[k]) for n = 0..n_cut."""
+    return np.array([[poisson_pn(intensity, n) for n in range(n_cut + 1)] for intensity in intensities])
 
 
 @dataclass
@@ -219,19 +147,6 @@ def _interval(lp_min_val, lp_max_val):
     lo = max(0.0, lp_min_val)
     hi = max(lo, lp_max_val)
     return (lo, hi)
-
-
-def _coupled_error_rows(q_rows, qe_rows, n_var):
-    """Rows over (Y_0..Y_ncut, z_0..z_ncut): the gain and error-gain rows, plus z_n <= Y_n."""
-    pad = np.zeros(n_var)
-    rows = [(np.concatenate([coeffs, pad]), rel, bound) for coeffs, rel, bound in q_rows]
-    rows += [(np.concatenate([pad, coeffs]), rel, bound) for coeffs, rel, bound in qe_rows]
-    for n in range(n_var):
-        coupling = np.zeros(2 * n_var)
-        coupling[n_var + n] = 1.0
-        coupling[n] = -1.0
-        rows.append((coupling, "<=", 0.0))
-    return rows
 
 
 def _e1_interval(z1_lo, z1_hi, y1_lo, y1_hi):
@@ -257,37 +172,98 @@ def c_lower_bound(e1_intervals) -> float:
     return total
 
 
+# The 22 programs of a point in the order ``read_bounds`` consumes their optima:
+# per pair, min and max of Y1, then of z1, then (ZZ only) of Y0. Each is
+# (pair index, observation: 0 for Q and 1 for Q*E, target photon number, sign).
+_PROGRAMS = tuple(
+    (pair, observation, target, sign)
+    for pair, label in enumerate(PAIR_LABELS)
+    for observation, target in ((0, 1), (1, 1), (0, 0))[: 3 if label == "ZZ" else 2]
+    for sign in _SIGNS.values()
+)
+
+
+@functools.cache
+def _layout(n_cut: int, tight_z_bounds: bool) -> LinearPrograms:
+    """A point's programs with every matrix entry and row bound replaced by its
+    index into the point's tables in ``bound_programs``: all that the
+    observations leave unchanged, built once per estimator.
+
+    Plain blocks share one 3-row pattern over Y_0..Y_ncut (or z_0..z_ncut).
+    Under ``tight_z_bounds`` the z1 blocks run over (Y_0..Y_ncut,
+    z_0..z_ncut) with the Q rows, the Q*E rows and the coupling rows
+    z_n - Y_n <= 0.
+    """
+    n_var = n_cut + 1
+    coupling = 2 * len(PAIR_LABELS) * len(INTENSITY_LABELS)  # bound index of (-inf, 0]
+    weights = np.arange(1, 3 * n_var + 1).reshape(3, n_var)  # index + 1: only nonzeros are kept
+    coupled = np.zeros((6 + n_var, 2 * n_var), dtype=int)
+    coupled[:3, :n_var] = coupled[3:6, n_var:] = weights
+    coupled[6:, :n_var] = np.diag(np.full(n_var, 3 * n_var + 1))  # the -1 entries
+    coupled[6:, n_var:] = np.diag(np.full(n_var, 3 * n_var + 2))  # the +1 entries
+    blocks, bound_at, objective = [], [], []
+    for pair, observation, target, _ in _PROGRAMS:
+        q_rows = [3 * pair + k for k in range(3)]
+        qe_rows = [3 * (len(PAIR_LABELS) + pair) + k for k in range(3)]
+        if tight_z_bounds and observation == 1:
+            block, target = coupled, n_var + target
+            bound_at += q_rows + qe_rows + [coupling] * n_var
+        else:
+            block = weights
+            bound_at += (q_rows, qe_rows)[observation]
+        blocks.append(block)
+        objective.append(np.eye(1, block.shape[1], target)[0])
+    matrix = csc_array(block_diag(blocks, format="csc"))
+    matrix.eliminate_zeros()
+    matrix.sort_indices()
+    matrix.data -= 1
+    bound_at = np.array(bound_at)
+    layout = LinearPrograms(
+        objective=np.concatenate(objective),
+        matrix=matrix,
+        lo=bound_at,
+        hi=bound_at,
+        col0=np.cumsum([0] + [block.shape[1] for block in blocks]),
+        sign=np.array([sign for *_, sign in _PROGRAMS]),
+    )
+    for shared in (layout.objective, layout.col0, layout.sign, matrix.indices, matrix.indptr):
+        shared.flags.writeable = False
+    return layout
+
+
 def bound_programs(
     table: LegStatsTable,
     intensities: dict[str, float],
     n_cut: int = DEFAULT_N_CUT,
     tight_z_bounds: bool = False,
     fluctuation: float = 0.0,
-) -> list[LinearProgram]:
+) -> LinearPrograms:
     """The 22 programs of one point, in the order ``read_bounds`` consumes
     their optima: per pair, min and max of Y1, then of z1, then (ZZ only) of Y0.
 
-    ``tight_z_bounds`` switches the error program to the coupled form with
-    z_n <= Y_n instead of the plain z_n <= 1 box. ``fluctuation`` (u / sqrt(N),
-    see ``ChannelSpec``) widens every observed Q and Q*E by its statistical
-    fluctuation; the default zero treats the observations as exact.
+    Each observed value o of an intensity gives one ranged row: the
+    Poisson-weighted sum of the variables must bracket o up to the truncated
+    tail mass, widened by ``fluctuation * sqrt(o)`` on both sides.
+    ``fluctuation`` is u / sqrt(N) (see ``ChannelSpec``); the default zero
+    treats the observations as exact. ``tight_z_bounds`` switches the error
+    programs to the coupled form with z_n <= Y_n instead of the plain z_n <= 1
+    box. Each row is divided by its infinity norm, since the Poisson weights
+    span many orders of magnitude.
     """
-    n_var = n_cut + 1
     weights = _poisson_weights([intensities[k] for k in INTENSITY_LABELS], n_cut)
-    lps = []
-    for pair_label in PAIR_LABELS:
-        stats = [table.entries[(k, pair_label)] for k in INTENSITY_LABELS]
-        q_rows = _two_sided_rows(weights, [q for q, _ in stats], fluctuation)
-        qe_rows = _two_sided_rows(weights, [q * e for q, e in stats], fluctuation)
-        lps += [_unit_lp(n_var, 1, q_rows, sense) for sense in _SENSES]
-        if tight_z_bounds:
-            error_rows = _coupled_error_rows(q_rows, qe_rows, n_var)
-            lps += [_unit_lp(2 * n_var, n_var + 1, error_rows, sense) for sense in _SENSES]
-        else:
-            lps += [_unit_lp(n_var, 1, qe_rows, sense) for sense in _SENSES]
-        if pair_label == "ZZ":
-            lps += [_unit_lp(n_var, 0, q_rows, sense) for sense in _SENSES]
-    return lps
+    stats = np.array([[table.entries[(k, pair)] for k in INTENSITY_LABELS] for pair in PAIR_LABELS])
+    observed = np.stack([stats[..., 0], stats[..., 0] * stats[..., 1]])  # Q and Q*E by pair and intensity
+    tail = 1.0 - weights.sum(axis=1)
+    spread = fluctuation * np.sqrt(np.maximum(observed, 0.0))
+    scale = weights.max(axis=1)
+    scale[scale == 0.0] = 1.0
+    lo = np.append((observed - spread - tail) / scale, -np.inf)
+    hi = np.append((observed + spread) / scale, 0.0)
+    coefficients = np.append(weights / scale[:, None], (-1.0, 1.0))
+    layout = _layout(n_cut, tight_z_bounds)
+    index = layout.matrix
+    matrix = csc_array((coefficients[index.data], index.indices, index.indptr), shape=index.shape)
+    return replace(layout, matrix=matrix, lo=lo[layout.lo], hi=hi[layout.hi])
 
 
 def read_bounds(values) -> BoundsSet:
@@ -317,5 +293,5 @@ def estimate_bounds(
     arguments), solves them in one ``solve_lps`` call and reads them with
     ``read_bounds``; any infeasible program raises ``InfeasibleError``.
     """
-    lps = bound_programs(table, intensities, n_cut, tight_z_bounds, fluctuation)
-    return read_bounds(value for value, _ in solve_lps(lps))
+    optima, _ = solve_lps(bound_programs(table, intensities, n_cut, tight_z_bounds, fluctuation))
+    return read_bounds(optima.tolist())

@@ -35,12 +35,12 @@ class MuSearchSpec:
     rel_tol: float = 1e-4
 
     def __post_init__(self):
-        if not 0.0 < self.mu_lo <= self.mu_hi:
-            raise ValueError(f"need 0 < mu_lo <= mu_hi, got [{self.mu_lo}, {self.mu_hi}]")
+        if not 0.0 < self.mu_lo <= self.mu_hi < math.inf:
+            raise ValueError(f"need 0 < mu_lo <= mu_hi < inf, got [{self.mu_lo}, {self.mu_hi}]")
         if self.coarse_points < 1:
             raise ValueError("coarse_points must be >= 1")
-        if not self.rel_tol > 0.0:
-            raise ValueError(f"rel_tol must be > 0, got {self.rel_tol}")
+        if not 0.0 < self.rel_tol < math.inf:
+            raise ValueError(f"rel_tol must be finite and > 0, got {self.rel_tol}")
 
 
 @dataclass(frozen=True)
@@ -82,8 +82,11 @@ class ScanConfig:
     estimator: EstimatorSpec = EstimatorSpec()
 
     def __post_init__(self):
-        if self.atten_step_db <= 0:
-            raise ValueError("atten_step_db must be > 0")
+        for name in ("atten_start_db", "atten_stop_db"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if not 0.0 < self.atten_step_db < math.inf:
+            raise ValueError(f"atten_step_db must be finite and > 0, got {self.atten_step_db}")
         if self.mode not in ("optimized", "fixed"):
             raise ValueError(f"bad scan mode {self.mode!r}")
         if self.mode == "fixed" and not self.fixed_mus:
@@ -143,9 +146,9 @@ def _failed_point(spec: ChannelSpec, mu: float, flag: str) -> PointResult:
 
 # Points whose programs share one HiGHS call. The time per point levels off
 # near 5 (CPU ms per point at 10 dB over a 25-point mu grid, for 1, 2, 3, 4, 5,
-# 8, 10, 25 points per call: 5.54, 4.07, 3.62, 3.47, 3.30, 3.29, 3.23, 3.16),
-# while HiGHS's memory grows by about 0.3 MB per point in one program (peak
-# RSS +2.1 MB for 5 points, +4.7 MB for 9, +12.6 MB for 25).
+# 8, 10, 25 points per call: 2.72, 2.29, 2.08, 1.93, 1.74, 1.73, 1.69, 1.70),
+# while HiGHS's memory grows by about 0.2 MB per point in one program (peak
+# RSS +1.1 MB for 5 points, +1.9 MB for 9, +5.9 MB for 25).
 _POINTS_PER_SOLVE = 5
 
 
@@ -156,7 +159,7 @@ class _Observed:
     spec: ChannelSpec
     mu: float
     table: photonics.LegStatsTable
-    lps: list
+    programs: decoy.LinearPrograms
 
 
 def _observe(channel, attenuation_db, beta_rad, mu, estimator) -> _Observed | PointResult:
@@ -168,10 +171,10 @@ def _observe(channel, attenuation_db, beta_rad, mu, estimator) -> _Observed | Po
         table = photonics.ba_observed(spec, intensities)
     except NoClicksError as exc:
         return _failed_point(spec, mu, f"no_clicks: {exc}")
-    lps = decoy.bound_programs(
+    programs = decoy.bound_programs(
         table, intensities, estimator.n_cut, estimator.tight_z_bounds, fluctuation=spec.fluctuation
     )
-    return _Observed(spec, mu, table, lps)
+    return _Observed(spec, mu, table, programs)
 
 
 def _solve_groups(groups) -> list:
@@ -185,15 +188,15 @@ def _solve_groups(groups) -> list:
     if not groups:
         return []
     try:
-        solutions = decoy.solve_lps([lp for group in groups for lp in group])
+        optima, _ = decoy.solve_lps(decoy.stack(groups))
     except RuntimeError as exc:  # InfeasibleError is one
         if len(groups) > 1:
             return [outcome for group in groups for outcome in _solve_groups([group])]
         if isinstance(exc, decoy.InfeasibleError):
             return [exc]
         raise
-    values = iter([value for value, _ in solutions])
-    return [[next(values) for _ in group] for group in groups]
+    values = iter(optima.tolist())
+    return [[next(values) for _ in range(len(group))] for group in groups]
 
 
 def _finish(observed: _Observed, outcome, estimator: EstimatorSpec) -> PointResult:
@@ -266,7 +269,7 @@ def evaluate_points(
     results = []
     for start in range(0, len(points), _POINTS_PER_SOLVE):
         observed = [_observe(channel, *point, estimator) for point in points[start : start + _POINTS_PER_SOLVE]]
-        outcomes = iter(_solve_groups([o.lps for o in observed if isinstance(o, _Observed)]))
+        outcomes = iter(_solve_groups([o.programs for o in observed if isinstance(o, _Observed)]))
         results += [_finish(o, next(outcomes), estimator) if isinstance(o, _Observed) else o for o in observed]
     return results
 

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from rfiqsdc import cli, pipeline
+from rfiqsdc import cli, decoy, pipeline
 from rfiqsdc.cli import (
     CSV_COLUMNS,
     ConfigError,
@@ -263,15 +263,21 @@ class TestFluctuationParameters:
 
 
 class TestScanCommand:
-    def test_failed_batch_falls_back_to_single_points(self, monkeypatch, tmp_path):
-        # HiGHS reports "model_status is Unknown" for the stacked programs of
-        # the golden-section opening pair at 1.5 and 2 dB, while each point
-        # solves alone; the scan must still give every point's own result
-        entries = [
+    FALLBACK_SETTINGS = [
+        arg
+        for entry in (
             "mu_coarse_points=3", "atten_stop_db=2", "n_pulses=3e9", "u_sigma=2.5",
             "y0_from_model=true", "tight_z_bounds=true",
-        ]
-        settings = [arg for entry in entries for arg in ("--set", entry)]
+        )
+        for arg in ("--set", entry)
+    ]
+
+    def test_failed_batch_falls_back_to_single_points(self, monkeypatch, tmp_path):
+        # when each observation was two one-sided rows, HiGHS reported "model_status
+        # is Unknown" for the stacked programs of the golden-section opening pair
+        # at 1.5 and 2 dB, while each point solved alone; the scan must give
+        # every point's own result
+        settings = self.FALLBACK_SETTINGS
         out = tmp_path / "scan.csv"
         assert run(["scan", "--quiet", *settings, "--out", str(out)]) == EXIT_OK
 
@@ -283,6 +289,32 @@ class TestScanCommand:
             assert run(argv) == EXIT_OK
             rows.append(point.read_text().splitlines()[1])
         assert out.read_text().splitlines() == [",".join(CSV_COLUMNS), *rows]
+
+    def test_fallback_command_retries_no_chunk(self, monkeypatch, tmp_path):
+        # with one ranged row per observation every stacked call of that scan
+        # succeeds, so each evaluated point is solved exactly once
+        solve_lps, evaluate_points = decoy.solve_lps, pipeline.evaluate_points
+        points_per_call, failures, evaluated = [], [], []
+
+        def recording_solve_lps(programs):
+            points_per_call.append(len(programs) // 22)
+            try:
+                return solve_lps(programs)
+            except RuntimeError as exc:
+                failures.append(str(exc))
+                raise
+
+        def counting_evaluate_points(channel, points, *args):
+            evaluated.append(len(points))
+            return evaluate_points(channel, points, *args)
+
+        monkeypatch.setattr(decoy, "solve_lps", recording_solve_lps)
+        monkeypatch.setattr(pipeline, "evaluate_points", counting_evaluate_points)
+        out = tmp_path / "scan.csv"
+        assert run(["scan", "--quiet", *self.FALLBACK_SETTINGS, "--out", str(out)]) == EXIT_OK
+        assert failures == []
+        assert max(points_per_call) > 1
+        assert sum(points_per_call) == sum(evaluated)
 
     def _scan_args(self, out):
         return [

@@ -10,15 +10,21 @@ from rfiqsdc import decoy, photonics
 from rfiqsdc.decoy import (
     DEFAULT_N_CUT,
     InfeasibleError,
-    LinearProgram,
-    build_error_lp,
-    build_yield_lp,
+    LinearPrograms,
+    bound_programs,
     c_lower_bound,
     estimate_bounds,
-    solve_lp,
     solve_lps,
+    stack,
 )
-from rfiqsdc.photonics import ChannelSpec, LegStatsTable, ba_observed, poisson_pn
+from rfiqsdc.photonics import (
+    INTENSITY_LABELS,
+    PAIR_LABELS,
+    ChannelSpec,
+    LegStatsTable,
+    ba_observed,
+    poisson_pn,
+)
 from rfiqsdc.pipeline import evaluate_point
 
 
@@ -35,71 +41,123 @@ def make_observations(spec, mu, what="gain"):
     return out, intensities, table
 
 
+INTENSITIES = {"signal": 0.1, "decoy1": 0.005, "decoy2": 0.001}
+
+
+def table_from_yields(yields, error_yields):
+    """Exact observations of every pair from photon-number yields Y_n and
+    error-weighted yields z_n (n = 0, 1, ...; the rest zero)."""
+    entries = {}
+    for k in INTENSITY_LABELS:
+        q = sum(poisson_pn(INTENSITIES[k], n) * y for n, y in enumerate(yields))
+        qe = sum(poisson_pn(INTENSITIES[k], n) * z for n, z in enumerate(error_yields))
+        for pair in PAIR_LABELS:
+            entries[(k, pair)] = (q, qe / q)
+    return LegStatsTable(entries=entries, q_ba_signal=entries[("signal", "ZZ")][0])
+
+
+def ranged(rows):
+    """(a, lo, hi) of (coefficients, relation, bound) rows; relation "<=", ">=",
+    or "range" with a (low, high) bound."""
+    a = np.array([coeffs for coeffs, _, _ in rows]).reshape(len(rows), -1)
+    lo = [bound[0] if rel == "range" else bound if rel == ">=" else -math.inf for _, rel, bound in rows]
+    hi = [bound[1] if rel == "range" else bound if rel == "<=" else math.inf for _, rel, bound in rows]
+    return a, np.array(lo), np.array(hi)
+
+
+def blocks_of(programs):
+    """Each block of ``programs`` as a program of its own."""
+    dense = programs.matrix.toarray()
+    for b in range(len(programs)):
+        cols = slice(programs.col0[b], programs.col0[b + 1])
+        rows = np.flatnonzero(dense[:, cols].any(axis=1))
+        sense = "minimize" if programs.sign[b] > 0 else "maximize"
+        yield LinearPrograms.single(
+            sense, programs.objective[cols], dense[rows, cols], programs.lo[rows], programs.hi[rows]
+        )
+
+
 class TestLpConstruction:
     def test_shape(self):
-        obs = [(0.1, 0.01), (0.005, 0.001), (0.001, 0.0005)]
-        lp = build_yield_lp(obs, n_cut=10, target_n=1, sense="minimize")
-        assert len(lp.objective) == 11
-        assert len(lp.constraints) == 6
-        assert len(lp.variable_bounds) == 11
-        assert all(b == (0.0, 1.0) for b in lp.variable_bounds)
+        table = table_from_yields([2e-4, 0.05], [1e-4, 0.01])
+        plain = bound_programs(table, INTENSITIES, n_cut=10)
+        # 5 pairs x {Y1, z1} x {min, max}, plus the ZZ vacuum yield; 3 ranged rows each
+        assert len(plain) == 22
+        assert plain.matrix.shape == (66, 22 * 11)
+        assert plain.matrix.nnz == 22 * 3 * 11
+        assert np.all(np.diff(plain.col0) == 11)
+        assert np.all(plain.lo <= plain.hi)
+        assert np.all(np.abs(plain.matrix.toarray()).max(axis=1) == 1.0)  # unit inf-norm rows
+        targets = [np.flatnonzero(plain.objective[plain.col0[b] : plain.col0[b + 1]]) for b in range(22)]
+        assert [int(t[0]) for t in targets[:6]] == [1, 1, 1, 1, 0, 0]
+        assert list(plain.sign[:6]) == [1.0, -1.0] * 3
+
+        tight = bound_programs(table, INTENSITIES, n_cut=10, tight_z_bounds=True)
+        # the 10 z1 programs run over (Y, z) with the 6 observation rows and 11 couplings
+        assert len(tight) == 22
+        assert tight.matrix.shape == (12 * 3 + 10 * 17, 12 * 11 + 10 * 22)
+        assert np.sum(np.isneginf(tight.lo)) == 10 * 11
+        assert np.all(tight.hi[np.isneginf(tight.lo)] == 0.0)
+        z_block = tight.col0[2]
+        assert np.flatnonzero(tight.objective[z_block : tight.col0[3]]).tolist() == [11 + 1]
+
+        # each row brackets its observation o up to the truncated tail mass,
+        # (o - tail) / s <= row . x <= o / s with s the row's largest weight
+        short = bound_programs(table, INTENSITIES, n_cut=2)
+        for k, label in enumerate(INTENSITY_LABELS):
+            weights = [poisson_pn(INTENSITIES[label], n) for n in range(3)]
+            q = table.entries[(label, "ZZ")][0]
+            assert short.hi[k] * max(weights) == pytest.approx(q, rel=1e-12)
+            assert short.lo[k] * max(weights) == pytest.approx(q - (1.0 - sum(weights)), rel=1e-12)
 
     def test_truth_is_feasible(self):
         y0, y1 = 2e-4, 0.05
-        obs = [(mu, poisson_pn(mu, 0) * y0 + poisson_pn(mu, 1) * y1) for mu in (0.1, 0.005, 0.001)]
-        value, _ = solve_lp(build_yield_lp(obs, n_cut=10, target_n=1, sense="minimize"))
-        assert value <= y1 + 1e-12
+        optima, _ = solve_lps(bound_programs(table_from_yields([y0, y1], [0.0, 0.0]), INTENSITIES, n_cut=10))
+        y1_min, y0_min, y0_max = optima[0], optima[4], optima[5]
+        assert y1_min <= y1 + 1e-12
+        assert y0_min - 1e-12 <= y0 <= y0_max + 1e-12
 
     def test_zero_error_channel(self):
-        obs = [(0.1, 0.0), (0.005, 0.0), (0.001, 0.0)]
-        value, _ = solve_lp(build_error_lp(obs, n_cut=10, sense="maximize"))
+        table = table_from_yields([2e-4, 0.05], [0.0, 0.0])
+        optima, _ = solve_lps(bound_programs(table, INTENSITIES, n_cut=10))
         # only the truncated tail slack survives when all observed errors vanish
-        assert value <= 1e-10
+        z1_max = [optima[b] for b in (3, 9, 13, 17, 21)]
+        assert max(z1_max) <= 1e-10
 
     def test_error_lp_brackets_truth(self):
-        z0, z1 = 1e-4, 0.01
-        obs = [(mu, poisson_pn(mu, 0) * z0 + poisson_pn(mu, 1) * z1) for mu in (0.1, 0.005, 0.001)]
-        lo, _ = solve_lp(build_error_lp(obs, n_cut=10, sense="minimize"))
-        hi, _ = solve_lp(build_error_lp(obs, n_cut=10, sense="maximize"))
-        assert lo - 1e-9 <= z1 <= hi + 1e-9
+        z1 = 0.01
+        table = table_from_yields([2e-4, 0.05], [1e-4, z1])
+        for tight in (False, True):
+            optima, _ = solve_lps(bound_programs(table, INTENSITIES, n_cut=10, tight_z_bounds=tight))
+            for lo_block in (2, 8, 12, 16, 20):
+                assert optima[lo_block] - 1e-9 <= z1 <= optima[lo_block + 1] + 1e-9
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
-            build_yield_lp([(0.1, 0.01)], n_cut=10, target_n=1, sense="minimize")
+            LinearPrograms.single("solve", np.ones(2), np.ones((1, 2)), [0.0], [1.0])
         with pytest.raises(ValueError):
-            build_yield_lp([(0.1, 0.01), (0.05, 0.005)], n_cut=1, target_n=1, sense="minimize")
+            LinearPrograms.single("minimize", np.ones(2), np.ones(3), [0.0], [1.0])
         with pytest.raises(ValueError):
-            LinearProgram(sense="solve", objective=np.ones(2), variable_bounds=[(0, 1)] * 2)
+            LinearPrograms.single("minimize", np.ones(2), np.ones((1, 2)), [0.0, 0.0], [1.0])
 
 
 class TestSolver:
     def test_trivial_box(self):
-        lp = LinearProgram(sense="minimize", objective=np.array([1.0]), variable_bounds=[(0.0, 1.0)])
-        value, x = solve_lp(lp)
+        (value,), x = solve_lps(LinearPrograms.single("minimize", [1.0], np.empty((0, 1)), [], []))
         assert value == pytest.approx(0.0, abs=1e-12)
         assert x[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_hand_checkable_vertex(self):
-        lp = LinearProgram(
-            sense="maximize",
-            objective=np.array([1.0, 1.0]),
-            constraints=[(np.array([1.0, 2.0]), "<=", 1.0)],
-            variable_bounds=[(0.0, 1.0)] * 2,
-        )
-        value, x = solve_lp(lp)
+        lp = LinearPrograms.single("maximize", [1.0, 1.0], [[1.0, 2.0]], [-math.inf], [1.0])
+        (value,), x = solve_lps(lp)
         assert value == pytest.approx(1.0, abs=1e-9)
         assert x[0] == pytest.approx(1.0, abs=1e-9)
         assert x[1] == pytest.approx(0.0, abs=1e-9)
 
     def test_infeasible_reported(self):
-        lp = LinearProgram(
-            sense="minimize",
-            objective=np.array([1.0]),
-            constraints=[(np.array([1.0]), ">=", 2.0)],
-            variable_bounds=[(0.0, 1.0)],
-        )
+        lp = LinearPrograms.single("minimize", [1.0], [[1.0]], [2.0], [math.inf])
         with pytest.raises(InfeasibleError):
-            solve_lp(lp)
+            solve_lps(lp)
 
     def test_against_vertex_enumeration(self):
         rng = np.random.default_rng(23)
@@ -112,15 +170,15 @@ class TestSolver:
                 (rng.uniform(-1.0, 1.0, size=4), rng.choice(["<=", ">="]), rng.uniform(-0.5, 1.5))
                 for _ in range(3)
             ]
-            bounds = [(0.0, 1.0)] * 4
             sense = "minimize" if rng.uniform() < 0.5 else "maximize"
-            lp = LinearProgram(sense=sense, objective=objective, constraints=rows, variable_bounds=bounds)
-            reference = vertex_enumeration_optimum(objective, rows, bounds, sense)
+            a, lo, hi = ranged(rows)
+            lp = LinearPrograms.single(sense, objective, a, lo, hi)
+            reference = vertex_enumeration_optimum(objective, a, lo, hi, sense)
             if reference is None:
                 with pytest.raises(InfeasibleError):
-                    solve_lp(lp)
+                    solve_lps(lp)
                 continue
-            value, _ = solve_lp(lp)
+            (value,), _ = solve_lps(lp)
             assert value == pytest.approx(reference, abs=1e-9)
             checked += 1
         assert checked == 50
@@ -129,71 +187,60 @@ class TestSolver:
         import time
 
         spec = ChannelSpec(attenuation_db=6.0, beta_rad=math.radians(25.0))
-        obs, _, _ = make_observations(spec, 0.05)
-        lps = [
-            build_yield_lp(obs["ZZ"], DEFAULT_N_CUT, target_n, sense)
-            for target_n in (0, 1)
-            for sense in ("minimize", "maximize")
-        ]
-        for lp in lps:
-            solve_lp(lp)  # warm scipy up before timing
+        _, intensities, table = make_observations(spec, 0.05)
+        programs = bound_programs(table, intensities, DEFAULT_N_CUT)
+        solve_lps(programs)  # warm scipy up before timing
         start = time.perf_counter()
-        for lp in lps:
-            solve_lp(lp)
-        per_call = (time.perf_counter() - start) / len(lps)
+        for _ in range(4):
+            solve_lps(programs)
+        per_call = (time.perf_counter() - start) / 4
         assert per_call < 0.010
 
     def test_determinism(self):
         spec = ChannelSpec(attenuation_db=6.0, beta_rad=0.3)
-        obs, _, _ = make_observations(spec, 0.05)
-        lp = build_yield_lp(obs["XX"], DEFAULT_N_CUT, 1, "minimize")
-        value1, x1 = solve_lp(lp)
-        value2, x2 = solve_lp(lp)
-        assert value1 == value2
+        _, intensities, table = make_observations(spec, 0.05)
+        programs = bound_programs(table, intensities, DEFAULT_N_CUT)
+        values1, x1 = solve_lps(programs)
+        values2, x2 = solve_lps(programs)
+        assert np.array_equal(values1, values2)
         assert np.array_equal(x1, x2)
 
 
 class TestBatchedSolve:
     def test_mixed_blocks_match_vertex_enumeration(self):
-        # one call over minimize and maximize blocks of 2, 3 and 4 variables;
-        # each row holds at an interior point, so every block is feasible
+        # one call over minimize and maximize blocks of 2, 3 and 4 variables
+        # with "<=", ">=" and two-sided rows; each row holds at an interior
+        # point, so every block is feasible
         rng = np.random.default_rng(7)
-        lps = []
+        blocks = []
         for width in (2, 3, 4, 3, 2, 4):
             inside = rng.uniform(0.2, 0.8, size=width)
             rows = []
             for _ in range(width - 1):
                 coeffs = rng.uniform(-1.0, 1.0, size=width)
-                rel = rng.choice(["<=", ">="])
-                slack = rng.uniform(0.0, 0.3)
+                rel = rng.choice(["<=", ">=", "range"])
+                slack = rng.uniform(0.0, 0.3, size=2)
                 level = float(coeffs @ inside)
-                rows.append((coeffs, rel, level + slack if rel == "<=" else level - slack))
-            sense = "minimize" if len(lps) % 2 == 0 else "maximize"
-            lps.append(LinearProgram(
-                sense=sense,
-                objective=rng.uniform(-1.0, 1.0, size=width),
-                constraints=rows,
-                variable_bounds=[(0.0, 1.0)] * width,
-            ))
-        solutions = solve_lps(lps)
-        assert len(solutions) == len(lps)
-        for lp, (value, x) in zip(lps, solutions):
-            assert len(x) == len(lp.objective)
-            reference = vertex_enumeration_optimum(lp.objective, lp.constraints, lp.variable_bounds, lp.sense)
-            assert value == pytest.approx(reference, abs=1e-9)
-            assert value == pytest.approx(float(lp.objective @ x), abs=1e-12)
+                low, high = level - slack[0], level + slack[1]
+                rows.append((coeffs, rel, {"<=": high, ">=": low, "range": (low, high)}[rel]))
+            sense = "minimize" if len(blocks) % 2 == 0 else "maximize"
+            blocks.append((sense, rng.uniform(-1.0, 1.0, size=width), *ranged(rows)))
+        programs = stack([LinearPrograms.single(*block) for block in blocks])
+        values, x = solve_lps(programs)
+        assert len(values) == len(blocks)
+        assert len(x) == sum(len(objective) for _, objective, *_ in blocks)
+        for b, (sense, objective, a, lo, hi) in enumerate(blocks):
+            reference = vertex_enumeration_optimum(objective, a, lo, hi, sense)
+            assert values[b] == pytest.approx(reference, abs=1e-9)
+            x_block = x[programs.col0[b] : programs.col0[b + 1]]
+            assert values[b] == pytest.approx(float(objective @ x_block), abs=1e-12)
 
     def test_one_infeasible_block_fails_the_batch(self):
-        feasible = LinearProgram(sense="maximize", objective=np.array([1.0]), variable_bounds=[(0.0, 1.0)])
-        infeasible = LinearProgram(
-            sense="minimize",
-            objective=np.array([1.0, 0.0]),
-            constraints=[(np.array([1.0, 1.0]), ">=", 3.0)],
-            variable_bounds=[(0.0, 1.0)] * 2,
-        )
-        assert solve_lps([feasible])[0][0] == pytest.approx(1.0)
+        feasible = LinearPrograms.single("maximize", [1.0], np.empty((0, 1)), [], [])
+        infeasible = LinearPrograms.single("minimize", [1.0, 0.0], [[1.0, 1.0]], [3.0], [math.inf])
+        assert solve_lps(feasible)[0][0] == pytest.approx(1.0)
         with pytest.raises(InfeasibleError):
-            solve_lps([feasible, infeasible])
+            solve_lps(stack([feasible, infeasible]))
 
 
 class TestCLowerBound:
@@ -259,13 +306,17 @@ class TestEstimateBounds:
     def test_fluctuation_widens_intervals(self):
         spec = ChannelSpec(attenuation_db=10.0, beta_rad=math.radians(45.0))
         obs, intensities, table = make_observations(spec, 0.015)
-        exact_rows = build_yield_lp(obs["XX"], DEFAULT_N_CUT, 1, "minimize").constraints
-        wide_rows = build_yield_lp(obs["XX"], DEFAULT_N_CUT, 1, "minimize", 5e-6).constraints
-        for (_, q), upper, lower, wide_upper, wide_lower in zip(
-            obs["XX"], exact_rows[::2], exact_rows[1::2], wide_rows[::2], wide_rows[1::2]
-        ):
-            assert wide_upper[2] - upper[2] == pytest.approx(5e-6 * math.sqrt(q), rel=1e-9)
-            assert lower[2] - wide_lower[2] == pytest.approx(5e-6 * math.sqrt(q), rel=1e-9)
+        exact_rows = bound_programs(table, intensities, DEFAULT_N_CUT)
+        wide_rows = bound_programs(table, intensities, DEFAULT_N_CUT, fluctuation=5e-6)
+        assert np.all(wide_rows.lo < exact_rows.lo)
+        assert np.all(wide_rows.hi > exact_rows.hi)
+        # rows 18-20 bound the XX gains (the 7th program, min Y1 of XX), each
+        # row divided by its largest Poisson weight
+        for k, (intensity, q) in enumerate(obs["XX"]):
+            scale = max(poisson_pn(intensity, n) for n in range(DEFAULT_N_CUT + 1))
+            widening = 5e-6 * math.sqrt(q)
+            assert (wide_rows.hi[18 + k] - exact_rows.hi[18 + k]) * scale == pytest.approx(widening, rel=1e-9)
+            assert (exact_rows.lo[18 + k] - wide_rows.lo[18 + k]) * scale == pytest.approx(widening, rel=1e-9)
         exact = estimate_bounds(table, intensities, DEFAULT_N_CUT)
         wide = estimate_bounds(table, intensities, DEFAULT_N_CUT, fluctuation=5e-6)
         for label in ("ZZ", "XX", "XY", "YX", "YY"):
@@ -293,9 +344,9 @@ class TestEstimateBounds:
     def test_batch_matches_separate_solves(self, monkeypatch, beta_deg, tight, u_sigma):
         batches = []
 
-        def recording_solve_lps(lps):
-            solutions = solve_lps(lps)
-            batches.append((lps, solutions))
+        def recording_solve_lps(programs):
+            solutions = solve_lps(programs)
+            batches.append((programs, solutions))
             return solutions
 
         monkeypatch.setattr(decoy, "solve_lps", recording_solve_lps)
@@ -305,11 +356,11 @@ class TestEstimateBounds:
             estimate_bounds(table, intensities, DEFAULT_N_CUT, tight_z_bounds=tight, fluctuation=spec.fluctuation)
         monkeypatch.undo()
         assert len(batches) == 5
-        for lps, solutions in batches:
+        for programs, (values, _) in batches:
             # 5 pairs x {Y1, z1} x {min, max}, plus the ZZ vacuum yield
-            assert len(lps) == 22
-            for lp, (value, _) in zip(lps, solutions):
-                separate, _ = solve_lp(lp)
+            assert len(programs) == 22
+            for block, value in zip(blocks_of(programs), values):
+                (separate,), _ = solve_lps(block)
                 assert value == pytest.approx(separate, rel=1e-10, abs=1e-15)
 
     def test_inconsistent_observations_are_infeasible(self, monkeypatch):

@@ -1,9 +1,10 @@
 """End-to-end evaluation, intensity optimization, scans and cutoff search."""
 
 import math
+import warnings
 
 import pytest
-from scipy.optimize import linprog
+from scipy.optimize import milp
 
 from rfiqsdc import decoy, photonics, pipeline
 from rfiqsdc.photonics import ChannelSpec, LegStatsTable, NoClicksError
@@ -88,15 +89,18 @@ class TestEvaluatePoint:
         # near the solver's default feasibility tolerance, and must not depend
         # on that tolerance
         if tolerance is not None:
-            def tight_linprog(*args, options=None, **kwargs):
+            def tight_milp(*args, options=None, **kwargs):
                 options = {
                     **(options or {}),
                     "primal_feasibility_tolerance": tolerance,
                     "dual_feasibility_tolerance": tolerance,
                 }
-                return linprog(*args, options=options, **kwargs)
+                with warnings.catch_warnings():
+                    # milp warns that it hands these HiGHS options on verbatim
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    return milp(*args, options=options, **kwargs)
 
-            monkeypatch.setattr(decoy, "linprog", tight_linprog)
+            monkeypatch.setattr(decoy, "milp", tight_milp)
         points = [
             evaluate_point(ChannelSpec(), 11.5, math.radians(beta_deg), 0.004)
             for beta_deg in (0.0, 15.0, 30.0, 45.0)
@@ -278,11 +282,26 @@ class TestScan:
         (ChannelSpec, {"alpha_db_per_km": math.inf}),
         (ChannelSpec, {"alpha_db_per_km": -math.inf}),
         (ScanConfig, {"mode": "optimized", "fixed_mus": (0.05,)}),  # the search picks its own mu
+        *[
+            (MuSearchSpec, {key: value})
+            for key in ("mu_lo", "mu_hi", "rel_tol")
+            for value in (math.nan, math.inf, -math.inf)
+        ],
+        *[
+            (ScanConfig, {key: value})
+            for key in ("atten_start_db", "atten_stop_db", "atten_step_db")
+            for value in (math.nan, math.inf, -math.inf)
+        ],
     ],
     ids=[
         "rel_tol-zero", "rel_tol-negative", "decoy-ratios-swapped", "n_cut-1",
         "attenuation-nan", "attenuation-inf", "attenuation-neg-inf",
         "alpha-nan", "alpha-inf", "alpha-neg-inf", "optimized-with-fixed-mus",
+        *[
+            f"{key}-{name}"
+            for key in ("mu_lo", "mu_hi", "rel_tol", "atten_start_db", "atten_stop_db", "atten_step_db")
+            for name in ("nan", "inf", "neg-inf")
+        ],
     ],
 )
 def test_spec_validation(spec, kwargs):
