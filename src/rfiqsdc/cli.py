@@ -7,16 +7,19 @@ Config files are flat ``key = value`` text with ``#`` comments. Command-line
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
+import platform
 import sys
 import traceback
 from dataclasses import dataclass, fields
 from itertools import combinations
 
 import numpy as np
+import scipy
 
-from . import decoy, security
+from . import __version__, decoy, security
 from .photonics import ChannelSpec
 from .pipeline import (
     EstimatorSpec,
@@ -294,9 +297,21 @@ def _point_dict(point: PointResult) -> dict:
     }
 
 
+@functools.cache
+def _provenance() -> dict:
+    """The versions of the code that computed a summary."""
+    return {
+        "rfiqsdc": __version__,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "highs": decoy.highs._Highs().version(),
+    }
+
+
 def write_summary(payload: dict, path: str):
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
+        json.dump({**payload, "provenance": _provenance()}, handle, indent=2, sort_keys=True)
         handle.write("\n")
 
 

@@ -14,7 +14,7 @@ import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.optimize._highspy import _core as highs
 from scipy.sparse import block_diag, csc_array
 
 from .photonics import INTENSITY_LABELS, PAIR_LABELS, LegStatsTable, poisson_pn
@@ -34,6 +34,13 @@ __all__ = [
 DEFAULT_N_CUT = 10
 
 _SIGNS = {"minimize": 1.0, "maximize": -1.0}
+
+# presolve declares infeasible the nearly-degenerate ranged rows that arise
+# when the truncated Poisson tail underflows (seen with tight_z_bounds and
+# exact observations); the bare solver handles them fine
+_OPTIONS = highs.HighsOptions()
+_OPTIONS.log_to_console = False
+_OPTIONS.presolve = "off"
 
 
 class InfeasibleError(RuntimeError):
@@ -108,20 +115,31 @@ def solve_lps(programs: LinearPrograms) -> tuple[np.ndarray, np.ndarray]:
     infeasible exactly when some block is. Returns each block's optimum and
     the stacked solution x.
     """
-    # presolve declares infeasible the nearly-degenerate ranged rows that arise
-    # when the truncated Poisson tail underflows (seen with tight_z_bounds and
-    # exact observations); the bare solver handles them fine
-    res = milp(
-        programs.objective * np.repeat(programs.sign, np.diff(programs.col0)),
-        constraints=LinearConstraint(programs.matrix, programs.lo, programs.hi),
-        bounds=Bounds(0.0, 1.0),
-        options={"presolve": False},
-    )
-    if res.status == 2:
+    lp = highs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = len(programs.objective)
+    lp.num_row_ = lp.a_matrix_.num_row_ = len(programs.lo)
+    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = programs.matrix.indptr
+    lp.a_matrix_.index_ = programs.matrix.indices
+    lp.a_matrix_.value_ = programs.matrix.data
+    lp.col_cost_ = programs.objective * np.repeat(programs.sign, np.diff(programs.col0))
+    lp.col_lower_ = np.zeros(lp.num_col_)
+    lp.col_upper_ = np.ones(lp.num_col_)
+    lp.row_lower_ = programs.lo
+    lp.row_upper_ = programs.hi
+    solver = highs._Highs()  # a fresh solver per call: nothing of an earlier solve carries over
+    solver.passOptions(_OPTIONS)
+    if solver.passModel(lp) == highs.HighsStatus.kError:
+        status = highs.HighsModelStatus.kModelError
+    else:
+        solver.run()
+        status = solver.getModelStatus()
+    if status in (highs.HighsModelStatus.kInfeasible, highs.HighsModelStatus.kModelError):
         raise InfeasibleError("inconsistent observations: no feasible yield decomposition")
-    if res.status != 0:
-        raise RuntimeError(f"LP solver failure (status {res.status}): {res.message}")
-    return np.add.reduceat(programs.objective * res.x, programs.col0[:-1]), res.x
+    if status != highs.HighsModelStatus.kOptimal:
+        raise RuntimeError(f"LP solver failure (HiGHS status {int(status)}): {solver.modelStatusToString(status)}")
+    x = np.array(solver.getSolution().col_value)
+    return np.add.reduceat(programs.objective * x, programs.col0[:-1]), x
 
 
 def _poisson_weights(intensities, n_cut):

@@ -25,6 +25,11 @@ __all__ = [
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
+def _check_count(name, value, least):
+    if not isinstance(value, int) or isinstance(value, bool) or value < least:
+        raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class MuSearchSpec:
     """Signal-intensity search: coarse log grid, then golden-section refinement."""
@@ -37,8 +42,7 @@ class MuSearchSpec:
     def __post_init__(self):
         if not 0.0 < self.mu_lo <= self.mu_hi < math.inf:
             raise ValueError(f"need 0 < mu_lo <= mu_hi < inf, got [{self.mu_lo}, {self.mu_hi}]")
-        if self.coarse_points < 1:
-            raise ValueError("coarse_points must be >= 1")
+        _check_count("coarse_points", self.coarse_points, 1)
         if not 0.0 < self.rel_tol < math.inf:
             raise ValueError(f"rel_tol must be finite and > 0, got {self.rel_tol}")
 
@@ -60,8 +64,7 @@ class EstimatorSpec:
     y0_from_model: bool = False
 
     def __post_init__(self):
-        if self.n_cut < 2:
-            raise ValueError(f"n_cut must be >= 2, got {self.n_cut}")
+        _check_count("n_cut", self.n_cut, 2)
         r1, r2 = self.decoy_ratios
         if not 0.0 < r2 < r1 < 1.0:
             raise ValueError(f"decoy ratios must satisfy 0 < r2 < r1 < 1, got {self.decoy_ratios}")
@@ -144,11 +147,11 @@ def _failed_point(spec: ChannelSpec, mu: float, flag: str) -> PointResult:
     )
 
 
-# Points whose programs share one HiGHS call. The time per point levels off
-# near 5 (CPU ms per point at 10 dB over a 25-point mu grid, for 1, 2, 3, 4, 5,
-# 8, 10, 25 points per call: 2.72, 2.29, 2.08, 1.93, 1.74, 1.73, 1.69, 1.70),
-# while HiGHS's memory grows by about 0.2 MB per point in one program (peak
-# RSS +1.1 MB for 5 points, +1.9 MB for 9, +5.9 MB for 25).
+# Points whose programs share one HiGHS call. The time per point is least at 5
+# (CPU ms per point at 10 dB over a 25-point mu grid, for 1, 2, 3, 4, 5, 8, 10,
+# 25 points per call: 1.51, 1.33, 1.25, 1.19, 1.12, 1.24, 1.25, 1.46), while
+# HiGHS's memory grows by about 0.2 MB per point in one program (peak RSS
+# +0.8 MB for 5 points, +1.9 MB for 9, +5.2 MB for 25).
 _POINTS_PER_SOLVE = 5
 
 

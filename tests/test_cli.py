@@ -2,9 +2,14 @@
 
 import json
 import math
+import platform
 
+import numpy as np
 import pytest
+import scipy
+from scipy.optimize._highspy import _core as highs
 
+import rfiqsdc
 from rfiqsdc import cli, decoy, pipeline
 from rfiqsdc.cli import (
     CSV_COLUMNS,
@@ -189,6 +194,18 @@ class TestPointCommand:
         # the CSV capacity is the JSON capacity, formatted
         csv_capacity = float(lines[1].split(",")[4])
         assert csv_capacity == pytest.approx(point["capacity_bit_per_pulse"], rel=1e-8)
+
+    def test_summary_records_versions(self, tmp_path):
+        summary = tmp_path / "point.json"
+        argv = ["point", "--quiet", "--set", "attenuation_db=6", "--set", "mu=0.05", "--summary", str(summary)]
+        assert run(argv) == EXIT_OK
+        assert json.loads(summary.read_text())["provenance"] == {
+            "rfiqsdc": rfiqsdc.__version__,
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "highs": f"{highs.HIGHS_VERSION_MAJOR}.{highs.HIGHS_VERSION_MINOR}.{highs.HIGHS_VERSION_PATCH}",
+        }
 
     def test_optimized_point_honours_y0_from_model(self, tmp_path):
         rows = {}

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 from oracle_utils import true_n_photon_stats, vertex_enumeration_optimum
 from rfiqsdc import decoy, photonics
@@ -241,6 +242,58 @@ class TestBatchedSolve:
         assert solve_lps(feasible)[0][0] == pytest.approx(1.0)
         with pytest.raises(InfeasibleError):
             solve_lps(stack([feasible, infeasible]))
+
+
+def milp_solution(programs):
+    """``scipy.optimize.milp``'s result for ``programs``, posed as ``solve_lps`` poses them."""
+    return milp(
+        programs.objective * np.repeat(programs.sign, np.diff(programs.col0)),
+        constraints=LinearConstraint(programs.matrix, programs.lo, programs.hi),
+        bounds=Bounds(0.0, 1.0),
+        options={"presolve": False},
+    )
+
+
+class TestAgreesWithMilp:
+    """``solve_lps`` drives scipy's private HiGHS bindings; public ``milp``,
+    which wraps the same bindings, must give the same bits."""
+
+    @staticmethod
+    def production_programs(atten, beta_deg, mu, tight, u_sigma):
+        spec = ChannelSpec(attenuation_db=atten, beta_rad=math.radians(beta_deg), u_sigma=u_sigma)
+        _, intensities, table = make_observations(spec, mu)
+        return bound_programs(table, intensities, DEFAULT_N_CUT, tight, fluctuation=spec.fluctuation)
+
+    def assert_agree(self, programs):
+        reference = milp_solution(programs)
+        assert reference.status == 0
+        values, x = solve_lps(programs)
+        assert np.array_equal(x, reference.x)
+        assert np.array_equal(values, np.add.reduceat(programs.objective * reference.x, programs.col0[:-1]))
+
+    # 11.3 dB at 0 deg and 10.6 dB at 45 deg lie just past the cutoffs
+    @pytest.mark.parametrize("atten, beta_deg", [(4.0, 0.0), (10.0, 45.0), (11.3, 0.0), (10.6, 45.0), (12.0, 0.0)])
+    @pytest.mark.parametrize("u_sigma", [0.0, 5.0])
+    @pytest.mark.parametrize("tight", [False, True], ids=["plain", "tight"])
+    def test_production_grid(self, atten, beta_deg, tight, u_sigma):
+        for mu in (0.004, 0.02, 0.1):
+            self.assert_agree(self.production_programs(atten, beta_deg, mu, tight, u_sigma))
+
+    def test_stacked_chunk(self):
+        chunk = [self.production_programs(10.0, 45.0, mu, True, 5.0) for mu in (0.004, 0.01, 0.02, 0.05, 0.1)]
+        self.assert_agree(stack(chunk))
+
+    def test_infeasible(self):
+        spec = ChannelSpec(attenuation_db=6.0)
+        _, intensities, table = make_observations(spec, 0.05)
+        entries = dict(table.entries)
+        q_signal, e_signal = entries[("signal", "XX")]
+        entries[("decoy2", "XX")] = (100.0 * q_signal, e_signal)  # no yields in [0, 1] give this
+        broken = LegStatsTable(entries=entries, q_ba_signal=table.q_ba_signal)
+        programs = bound_programs(broken, intensities, DEFAULT_N_CUT, fluctuation=spec.fluctuation)
+        assert milp_solution(programs).status == 2
+        with pytest.raises(InfeasibleError):
+            solve_lps(programs)
 
 
 class TestCLowerBound:

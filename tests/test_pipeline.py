@@ -1,10 +1,9 @@
 """End-to-end evaluation, intensity optimization, scans and cutoff search."""
 
 import math
-import warnings
 
 import pytest
-from scipy.optimize import milp
+from scipy.optimize._highspy import _core as highs
 
 from rfiqsdc import decoy, photonics, pipeline
 from rfiqsdc.photonics import ChannelSpec, LegStatsTable, NoClicksError
@@ -89,18 +88,12 @@ class TestEvaluatePoint:
         # near the solver's default feasibility tolerance, and must not depend
         # on that tolerance
         if tolerance is not None:
-            def tight_milp(*args, options=None, **kwargs):
-                options = {
-                    **(options or {}),
-                    "primal_feasibility_tolerance": tolerance,
-                    "dual_feasibility_tolerance": tolerance,
-                }
-                with warnings.catch_warnings():
-                    # milp warns that it hands these HiGHS options on verbatim
-                    warnings.simplefilter("ignore", RuntimeWarning)
-                    return milp(*args, options=options, **kwargs)
-
-            monkeypatch.setattr(decoy, "milp", tight_milp)
+            solver = highs._Highs()
+            solver.passOptions(decoy._OPTIONS)
+            tight = solver.getOptions()  # a copy of the module's options
+            tight.primal_feasibility_tolerance = tolerance
+            tight.dual_feasibility_tolerance = tolerance
+            monkeypatch.setattr(decoy, "_OPTIONS", tight)
         points = [
             evaluate_point(ChannelSpec(), 11.5, math.radians(beta_deg), 0.004)
             for beta_deg in (0.0, 15.0, 30.0, 45.0)
@@ -275,6 +268,11 @@ class TestScan:
         (MuSearchSpec, {"rel_tol": -1.0}),  # would never end the golden-section loop
         (EstimatorSpec, {"decoy_ratios": (0.01, 0.05)}),
         (EstimatorSpec, {"n_cut": 1}),
+        (EstimatorSpec, {"n_cut": 10.0}),  # a float count failed later, inside the decoy layout
+        (EstimatorSpec, {"n_cut": True}),
+        (MuSearchSpec, {"coarse_points": 2.5}),
+        (MuSearchSpec, {"coarse_points": 25.0}),
+        (MuSearchSpec, {"coarse_points": True}),
         (ChannelSpec, {"attenuation_db": math.nan}),
         (ChannelSpec, {"attenuation_db": math.inf}),
         (ChannelSpec, {"attenuation_db": -math.inf}),
@@ -295,6 +293,7 @@ class TestScan:
     ],
     ids=[
         "rel_tol-zero", "rel_tol-negative", "decoy-ratios-swapped", "n_cut-1",
+        "n_cut-float", "n_cut-bool", "coarse_points-fraction", "coarse_points-float", "coarse_points-bool",
         "attenuation-nan", "attenuation-inf", "attenuation-neg-inf",
         "alpha-nan", "alpha-inf", "alpha-neg-inf", "optimized-with-fixed-mus",
         *[
