@@ -401,6 +401,8 @@ def _cmd_cutoff(config: RunConfig, args, reporter: _Reporter) -> int:
     )
     if a_max is None:
         reporter.info("always insecure: no attenuation yields positive capacity")
+        if args.out:
+            write_csv([], args.out)  # header only, so no earlier run's CSV is left behind
         if args.summary:
             write_summary({"mode": "cutoff", "always_insecure": True}, args.summary)
         return EXIT_OK

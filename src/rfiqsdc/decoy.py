@@ -115,21 +115,17 @@ def solve_lps(programs: LinearPrograms) -> tuple[np.ndarray, np.ndarray]:
     infeasible exactly when some block is. Returns each block's optimum and
     the stacked solution x.
     """
-    lp = highs.HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = len(programs.objective)
-    lp.num_row_ = lp.a_matrix_.num_row_ = len(programs.lo)
-    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
-    lp.a_matrix_.start_ = programs.matrix.indptr
-    lp.a_matrix_.index_ = programs.matrix.indices
-    lp.a_matrix_.value_ = programs.matrix.data
-    lp.col_cost_ = programs.objective * np.repeat(programs.sign, np.diff(programs.col0))
-    lp.col_lower_ = np.zeros(lp.num_col_)
-    lp.col_upper_ = np.ones(lp.num_col_)
-    lp.row_lower_ = programs.lo
-    lp.row_upper_ = programs.hi
+    n_col, matrix = len(programs.objective), programs.matrix
     solver = highs._Highs()  # a fresh solver per call: nothing of an earlier solve carries over
     solver.passOptions(_OPTIONS)
-    if solver.passModel(lp) == highs.HighsStatus.kError:
+    passed = solver.passModel(
+        n_col, len(programs.lo), matrix.nnz, highs.MatrixFormat.kColwise, highs.ObjSense.kMinimize, 0.0,
+        programs.objective * np.repeat(programs.sign, np.diff(programs.col0)),
+        np.zeros(n_col), np.ones(n_col), programs.lo, programs.hi,
+        matrix.indptr, matrix.indices, matrix.data,
+        np.zeros(n_col, dtype=np.int32),  # all continuous; an empty array is a model error
+    )
+    if passed == highs.HighsStatus.kError:
         status = highs.HighsModelStatus.kModelError
     else:
         solver.run()

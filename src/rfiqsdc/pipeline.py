@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -288,6 +289,10 @@ def evaluate_point(
     return evaluate_points(channel, [(attenuation_db, beta_rad, mu)], estimator)[0]
 
 
+def _evaluate_mus(channel, attenuation_db, beta_rad, estimator, mus) -> list[PointResult]:
+    return evaluate_points(channel, [(attenuation_db, beta_rad, mu) for mu in mus], estimator)
+
+
 def optimize_mu(
     channel: ChannelSpec,
     attenuation_db: float,
@@ -301,47 +306,67 @@ def optimize_mu(
     interval; ties break toward smaller mu. Every evaluation uses ``estimator``.
     A best point without positive capacity is flagged ``no_positive_capacity``.
     """
-
-    def caps(mus):
-        return evaluate_points(channel, [(attenuation_db, beta_rad, mu) for mu in mus], estimator)
-
-    if search.mu_lo == search.mu_hi or search.coarse_points == 1:
-        best_mu, best = search.mu_lo, caps([search.mu_lo])[0]
-    else:
-        best_mu, best = _golden_search(caps, search)
+    caps = functools.partial(_evaluate_mus, channel, attenuation_db, beta_rad, estimator)
+    (best_mu, best), _ = _drive(_golden_search(search), caps)
     if best.capacity <= 0.0:
         best.flags.append("no_positive_capacity")
     return best_mu, best
 
 
-def _golden_search(caps, search: MuSearchSpec) -> tuple[float, PointResult]:
-    """The coarse grid, then golden-section refinement; (best mu, its result)."""
+def _golden_search(search: MuSearchSpec):
+    """The coarse grid, then golden-section refinement, as a generator.
+
+    Yields the mu values of each ``evaluate_points`` call, receives their
+    results, and returns (best mu, its result). The coarse grid goes in
+    chunks of ``_POINTS_PER_SOLVE``; each golden step depends on the one
+    before, so only the opening pair shares a call.
+    """
+    if search.mu_lo == search.mu_hi or search.coarse_points == 1:
+        (only,) = yield [search.mu_lo]
+        return search.mu_lo, only
     grid = np.geomspace(search.mu_lo, search.mu_hi, search.coarse_points)
-    results = caps(grid)
+    results = []
+    for start in range(0, len(grid), _POINTS_PER_SOLVE):
+        results += yield grid[start : start + _POINTS_PER_SOLVE]
     i_best = int(np.argmax([r.capacity for r in results]))  # the first (smallest-mu) maximum
 
-    # bracket around the coarse winner, then golden-section on log(mu); each
-    # step depends on the one before, so only the opening pair shares a call
+    # bracket around the coarse winner, then golden-section on log(mu)
     lo = grid[max(i_best - 1, 0)]
     hi = grid[min(i_best + 1, len(grid) - 1)]
     a, b = math.log(lo), math.log(hi)
     best_mu, best = grid[i_best], results[i_best]
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
-    rc, rd = caps([math.exp(c), math.exp(d)])
+    rc, rd = yield [math.exp(c), math.exp(d)]
     while (b - a) > search.rel_tol:
         if rc.capacity >= rd.capacity:
             b, d, rd = d, c, rc
             c = b - _INV_PHI * (b - a)
-            (rc,) = caps([math.exp(c)])
+            (rc,) = yield [math.exp(c)]
         else:
             a, c, rc = c, d, rd
             d = a + _INV_PHI * (b - a)
-            (rd,) = caps([math.exp(d)])
+            (rd,) = yield [math.exp(d)]
     for mu, r in ((math.exp(c), rc), (math.exp(d), rd)):
         if r.capacity > best.capacity or (r.capacity == best.capacity and mu < best_mu):
             best_mu, best = mu, r
     return best_mu, best
+
+
+def _drive(steps, caps, results=None, stop_if_secure=False):
+    """Feed the search generator ``steps`` the ``caps`` of each request, sending ``results`` first.
+
+    Returns (its return value, None) once it ends; under ``stop_if_secure``,
+    (None, results) at the first results with a positive capacity, which a
+    later call sends to resume the paused search.
+    """
+    try:
+        while True:
+            results = caps(steps.send(results))
+            if stop_if_secure and any(r.capacity > 0.0 for r in results):
+                return None, results
+    except StopIteration as stop:
+        return stop.value, None
 
 
 def scan(config: ScanConfig) -> list[PointResult]:
@@ -364,24 +389,37 @@ def max_attenuation(
     """Largest attenuation with positive optimized capacity, by bisection.
 
     Returns (None, None) when no attenuation in [0, atten_hi_db] yields a
-    positive capacity. Every evaluation uses ``estimator``.
+    positive capacity. Every evaluation uses ``estimator``. A step is secure
+    as soon as one of its evaluated mu has positive capacity, so its search
+    stops there; only the last secure step's search is run to the end, which
+    gives the same result as optimizing every step.
     """
+    if not 0.0 < width_db < math.inf or not 0.0 <= atten_hi_db < math.inf:
+        raise ValueError(f"need width_db > 0 and atten_hi_db >= 0, both finite; got {width_db}, {atten_hi_db}")
 
-    def best(attenuation):
-        return optimize_mu(channel, attenuation, beta_rad, search, estimator)[1]
+    def secure_search(attenuation):
+        """The search at ``attenuation`` paused at its first secure call, or None if it has none."""
+        steps = _golden_search(search)
+        caps = functools.partial(_evaluate_mus, channel, attenuation, beta_rad, estimator)
+        _, pending = _drive(steps, caps, stop_if_secure=True)
+        return None if pending is None else (steps, caps, pending)
 
-    lo_point = best(0.0)
-    if lo_point.capacity <= 0.0:
+    def finish(paused):
+        (_, best), _ = _drive(*paused)
+        return best
+
+    lo_search = secure_search(0.0)
+    if lo_search is None:
         return None, None
     lo, hi = 0.0, atten_hi_db
-    hi_point = best(hi)
-    if hi_point.capacity > 0.0:
-        return hi, hi_point
+    hi_search = secure_search(hi)
+    if hi_search is not None:
+        return hi, finish(hi_search)
     while hi - lo > width_db:
         mid = (lo + hi) / 2.0
-        result = best(mid)
-        if result.capacity > 0.0:
-            lo, lo_point = mid, result
+        mid_search = secure_search(mid)
+        if mid_search is not None:
+            lo, lo_search = mid, mid_search
         else:
             hi = mid
-    return lo, lo_point
+    return lo, finish(lo_search)

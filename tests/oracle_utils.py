@@ -105,3 +105,34 @@ def true_n_photon_stats(spec: ChannelSpec, pair: str, n: int) -> tuple[float, fl
         y_n += binom * (y_x + y_y)
         z_n += binom * (spec.ed_a * y_x + (1.0 - spec.ed_a) * y_y)
     return y_n, z_n
+
+
+def full_search_max_attenuation(
+    optimize_mu, channel, beta_rad, search, estimator, atten_hi_db=20.0, width_db=0.01
+):
+    """The cutoff bisection with every step's intensity search run to the end.
+
+    The reference for ``pipeline.max_attenuation``, which stops a step's
+    search at its first secure call. ``optimize_mu`` is
+    ``rfiqsdc.pipeline.optimize_mu``, passed in so that this module imports
+    nothing from the pipeline.
+    """
+
+    def best(attenuation):
+        return optimize_mu(channel, attenuation, beta_rad, search, estimator)[1]
+
+    lo_point = best(0.0)
+    if lo_point.capacity <= 0.0:
+        return None, None
+    lo, hi = 0.0, atten_hi_db
+    hi_point = best(hi)
+    if hi_point.capacity > 0.0:
+        return hi, hi_point
+    while hi - lo > width_db:
+        mid = (lo + hi) / 2.0
+        result = best(mid)
+        if result.capacity > 0.0:
+            lo, lo_point = mid, result
+        else:
+            hi = mid
+    return lo, lo_point

@@ -368,6 +368,20 @@ class TestScanCommand:
         assert len(mantissa.lstrip("-").replace(".", "")) == 9
 
 
+class TestCutoffCommand:
+    def test_always_insecure_replaces_stale_csv(self, tmp_path):
+        out, summary = tmp_path / "cutoff.csv", tmp_path / "cutoff.json"
+        out.write_text("left over from an earlier run\n")
+        code = run([
+            "cutoff", "--quiet", "--set", "ed_b=0.5",
+            "--set", "mu_coarse_points=5", "--set", "mu_rel_tol=1e-2",
+            "--out", str(out), "--summary", str(summary),
+        ])
+        assert code == EXIT_OK
+        assert json.loads(summary.read_text())["always_insecure"] is True
+        assert out.read_text() == ",".join(CSV_COLUMNS) + "\n"
+
+
 class TestRunConfigHelpers:
     def test_channel_construction(self):
         config = RunConfig(pd=1e-6, beta_deg=(45.0,))

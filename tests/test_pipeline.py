@@ -5,6 +5,7 @@ import math
 import pytest
 from scipy.optimize._highspy import _core as highs
 
+from oracle_utils import full_search_max_attenuation
 from rfiqsdc import decoy, photonics, pipeline
 from rfiqsdc.photonics import ChannelSpec, LegStatsTable, NoClicksError
 from rfiqsdc.pipeline import (
@@ -318,20 +319,74 @@ class TestMaxAttenuation:
         assert a_max is None
         assert point is None
 
-    def test_secure_upper_end_optimized_once(self, monkeypatch):
+    @pytest.fixture
+    def evaluated(self, monkeypatch):
+        """(attenuation, mu values) of every ``evaluate_points`` call, in order."""
         calls = []
+        evaluate_points = pipeline.evaluate_points
 
-        def recording_optimize(channel, attenuation_db, *args, **kwargs):
-            calls.append(attenuation_db)
-            return optimize_mu(channel, attenuation_db, *args, **kwargs)
+        def recording(channel, points, *args):
+            calls.append((points[0][0], [mu for _, _, mu in points]))
+            return evaluate_points(channel, points, *args)
 
-        monkeypatch.setattr(pipeline, "optimize_mu", recording_optimize)
-        a_max, point = max_attenuation(
-            ChannelSpec(), 0.0, MuSearchSpec(coarse_points=3, rel_tol=1e-1), atten_hi_db=2.0
-        )
-        assert calls == [0.0, 2.0]
+        monkeypatch.setattr(pipeline, "evaluate_points", recording)
+        return calls
+
+    def test_secure_upper_end_optimized_once(self, evaluated):
+        search = MuSearchSpec(coarse_points=3, rel_tol=1e-1)
+        a_max, point = max_attenuation(ChannelSpec(), 0.0, search, atten_hi_db=2.0)
         assert a_max == 2.0
         assert point.capacity > 0.0
+        (first_attenuation, _), *upper_calls = evaluated
+        assert first_attenuation == 0.0  # the 0 dB search stops after its first call, which is secure
+        evaluated.clear()
+        _, optimized = optimize_mu(ChannelSpec(), 2.0, 0.0, search)
+        assert upper_calls == evaluated  # the upper end's search runs to the end, once
+        upper_mus = [mu for _, mus in evaluated for mu in mus]
+        assert len(set(upper_mus)) == len(upper_mus)
+        assert point == optimized
+
+    @pytest.mark.parametrize(
+        "channel, beta_deg, estimator, atten_hi_db",
+        [
+            (ChannelSpec(), 0.0, EstimatorSpec(), 20.0),
+            (ChannelSpec(), 45.0, EstimatorSpec(), 20.0),
+            (ChannelSpec(), 45.0, EstimatorSpec(y0_from_model=True), 20.0),
+            (ChannelSpec(u_sigma=0.0), 0.0, EstimatorSpec(tight_z_bounds=True), 20.0),
+            (ChannelSpec(), 0.0, EstimatorSpec(), 8.0),  # the upper end is secure
+        ],
+        ids=["0deg", "45deg", "y0_from_model", "tight-u0", "secure-upper-end"],
+    )
+    def test_matches_full_search_bisection(self, evaluated, channel, beta_deg, estimator, atten_hi_db):
+        search = MuSearchSpec(coarse_points=9, rel_tol=1e-2)
+        args = (channel, math.radians(beta_deg), search, estimator, atten_hi_db)
+        want = full_search_max_attenuation(optimize_mu, *args)
+        full_evaluations = sum(len(mus) for _, mus in evaluated)
+        evaluated.clear()
+        assert max_attenuation(*args) == want
+        assert want[1].capacity > 0.0
+        assert sum(len(mus) for _, mus in evaluated) < full_evaluations
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"width_db": 0.0},  # would never end the bisection
+            {"width_db": -0.01},
+            {"width_db": math.nan},  # would end it at once and report 0 dB
+            {"width_db": math.inf},
+            {"atten_hi_db": -1.0},
+            {"atten_hi_db": math.nan},
+            {"atten_hi_db": math.inf},
+        ],
+        ids=["width-zero", "width-negative", "width-nan", "width-inf", "hi-negative", "hi-nan", "hi-inf"],
+    )
+    def test_bad_bracket_rejected(self, monkeypatch, kwargs):
+        def no_evaluation(*args):
+            raise AssertionError("a bad bracket must be rejected before any search")
+
+        monkeypatch.setattr(pipeline, "evaluate_points", no_evaluation)
+        with pytest.raises(ValueError):
+            max_attenuation(ChannelSpec(), 0.0, **kwargs)
 
     def test_cutoff_bracket(self):
         search = MuSearchSpec(coarse_points=9, rel_tol=1e-2)
