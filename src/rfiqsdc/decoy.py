@@ -3,27 +3,28 @@
 Each observed multi-intensity gain constrains the per-photon-number yields
 through one ranged Poisson-weighted row; small linear programs extremize the
 single-photon quantities, and the resulting intervals compose into a
-conservative lower bound on the correlation invariant C. Programs are held in
-matrix form and solved together as one block-diagonal program: a point's 22
-in ``estimate_bounds``, or those of several points (``pipeline.evaluate_points``).
+conservative lower bound on the correlation invariant C. Programs are held as
+CSC arrays and solved together as one block-diagonal program: a point's 22 in
+``estimate_bounds``, or those of several points (``pipeline.evaluate_points``).
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+import math
+import threading
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import block_diag
 from scipy.optimize._highspy import _core as highs
-from scipy.sparse import block_diag, csc_array
 
-from .photonics import INTENSITY_LABELS, PAIR_LABELS, LegStatsTable, poisson_pn
+from .photonics import INTENSITY_LABELS, PAIR_LABELS, LegStatsTable
 
 __all__ = [
     "LinearPrograms",
     "BoundsSet",
     "InfeasibleError",
-    "stack",
     "solve_lps",
     "bound_programs",
     "read_bounds",
@@ -42,9 +43,18 @@ _OPTIONS = highs.HighsOptions()
 _OPTIONS.log_to_console = False
 _OPTIONS.presolve = "off"
 
+_SOLVERS = threading.local()  # one HiGHS solver per thread, made on first use
+
 
 class InfeasibleError(RuntimeError):
     """The observations admit no photon-number yield decomposition."""
+
+
+def _csc(a):
+    """(data, indices, indptr) of the nonzeros of the dense matrix ``a`` in CSC order."""
+    cols, rows = np.nonzero(a.T)
+    indptr = np.searchsorted(cols, np.arange(a.shape[1] + 1))
+    return a[rows, cols], rows.astype(np.int32), indptr.astype(np.int32)
 
 
 @dataclass
@@ -53,13 +63,15 @@ class LinearPrograms:
 
     Block b owns the columns ``col0[b]:col0[b + 1]`` and extremizes
     ``objective`` over them, minimizing where ``sign[b]`` is 1 and maximizing
-    where it is -1, subject to the ranged rows ``lo <= matrix @ x <= hi`` (an
-    infinite side is absent) and 0 <= x <= 1. No row of the CSC ``matrix``
-    touches two blocks.
+    where it is -1, subject to the ranged rows ``lo <= A @ x <= hi`` (an
+    infinite side is absent) and 0 <= x <= 1. No row of A, held as the CSC
+    arrays ``data``, ``indices`` and ``indptr``, touches two blocks.
     """
 
     objective: np.ndarray
-    matrix: csc_array
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
     col0: np.ndarray
@@ -78,32 +90,7 @@ class LinearPrograms:
         lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
         if lo.shape != (len(a),) or hi.shape != (len(a),):
             raise ValueError("row bound dimension mismatch")
-        return cls(objective, csc_array(a), lo, hi, np.array([0, len(objective)]), np.array([_SIGNS[sense]]))
-
-
-def stack(programs) -> LinearPrograms:
-    """The block-diagonal program of several programs, their blocks in order."""
-    if len(programs) == 1:
-        return programs[0]
-    rows = np.cumsum([0] + [len(p.lo) for p in programs])
-    cols = np.cumsum([0] + [len(p.objective) for p in programs])
-    nnz = np.cumsum([0] + [p.matrix.nnz for p in programs])
-    matrix = csc_array(
-        (
-            np.concatenate([p.matrix.data for p in programs]),
-            np.concatenate([p.matrix.indices + r for p, r in zip(programs, rows)]),
-            np.concatenate([[0]] + [p.matrix.indptr[1:] + k for p, k in zip(programs, nnz)]),
-        ),
-        shape=(rows[-1], cols[-1]),
-    )
-    return LinearPrograms(
-        objective=np.concatenate([p.objective for p in programs]),
-        matrix=matrix,
-        lo=np.concatenate([p.lo for p in programs]),
-        hi=np.concatenate([p.hi for p in programs]),
-        col0=np.concatenate([p.col0[:-1] + c for p, c in zip(programs, cols)] + [cols[-1:]]),
-        sign=np.concatenate([p.sign for p in programs]),
-    )
+        return cls(objective, *_csc(a), lo, hi, np.array([0, len(objective)]), np.array([_SIGNS[sense]]))
 
 
 def solve_lps(programs: LinearPrograms) -> tuple[np.ndarray, np.ndarray]:
@@ -113,16 +100,20 @@ def solve_lps(programs: LinearPrograms) -> tuple[np.ndarray, np.ndarray]:
     The blocks share no variable and no row, so each block's part of the
     stacked optimum is that block's own optimum, and the stacked program is
     infeasible exactly when some block is. Returns each block's optimum and
-    the stacked solution x.
+    the stacked solution x. Each thread reuses one solver: ``passModel``
+    replaces its model and restarts the solve, which then matches a fresh
+    solver's bit for bit.
     """
-    n_col, matrix = len(programs.objective), programs.matrix
-    solver = highs._Highs()  # a fresh solver per call: nothing of an earlier solve carries over
+    n_col = len(programs.objective)
+    solver = getattr(_SOLVERS, "highs", None)
+    if solver is None:
+        solver = _SOLVERS.highs = highs._Highs()
     solver.passOptions(_OPTIONS)
     passed = solver.passModel(
-        n_col, len(programs.lo), matrix.nnz, highs.MatrixFormat.kColwise, highs.ObjSense.kMinimize, 0.0,
+        n_col, len(programs.lo), len(programs.data), highs.MatrixFormat.kColwise, highs.ObjSense.kMinimize, 0.0,
         programs.objective * np.repeat(programs.sign, np.diff(programs.col0)),
         np.zeros(n_col), np.ones(n_col), programs.lo, programs.hi,
-        matrix.indptr, matrix.indices, matrix.data,
+        programs.indptr, programs.indices, programs.data,
         np.zeros(n_col, dtype=np.int32),  # all continuous; an empty array is a model error
     )
     if passed == highs.HighsStatus.kError:
@@ -138,9 +129,20 @@ def solve_lps(programs: LinearPrograms) -> tuple[np.ndarray, np.ndarray]:
     return np.add.reduceat(programs.objective * x, programs.col0[:-1]), x
 
 
+@functools.cache
+def _log_factorials(n_cut: int) -> tuple:
+    return tuple(math.lgamma(n + 1) for n in range(n_cut + 1))
+
+
 def _poisson_weights(intensities, n_cut):
-    """Row k holds P_n(intensities[k]) for n = 0..n_cut."""
-    return np.array([[poisson_pn(intensity, n) for n in range(n_cut + 1)] for intensity in intensities])
+    """Row k holds P_n(intensities[k]) for n = 0..n_cut, bit for bit as
+    ``photonics.poisson_pn`` computes it, with one ``math.log`` per intensity."""
+    log_factorials = _log_factorials(n_cut)
+    rows = []
+    for m in intensities:
+        log_m = math.log(m) if m > 0.0 else -math.inf  # vacuum: P_0 = exp(0) = 1, P_n = exp(-inf) = 0
+        rows.append([math.exp(-m + n * log_m - log_factorials[n]) if n else math.exp(-m) for n in range(n_cut + 1)])
+    return np.array(rows)
 
 
 @dataclass
@@ -198,10 +200,13 @@ _PROGRAMS = tuple(
 
 
 @functools.cache
-def _layout(n_cut: int, tight_z_bounds: bool) -> LinearPrograms:
-    """A point's programs with every matrix entry and row bound replaced by its
-    index into the point's tables in ``bound_programs``: all that the
-    observations leave unchanged, built once per estimator.
+def _layout(n_cut: int, tight_z_bounds: bool, n_points: int) -> LinearPrograms:
+    """The programs of ``n_points`` points, stacked in point order, with every
+    matrix entry and row bound replaced by its index into the tables that
+    ``bound_programs`` fills: all that the observations leave unchanged, built
+    once per estimator and number of points, and read-only. Point p owns the
+    p-th run of Poisson weights (3 x (n_cut + 1)) and of observations (30);
+    the coupling entries -1, +1 and bound (-inf, 0] come last, shared by all.
 
     Plain blocks share one 3-row pattern over Y_0..Y_ncut (or z_0..z_ncut).
     Under ``tight_z_bounds`` the z1 blocks run over (Y_0..Y_ncut,
@@ -209,75 +214,78 @@ def _layout(n_cut: int, tight_z_bounds: bool) -> LinearPrograms:
     z_n - Y_n <= 0.
     """
     n_var = n_cut + 1
-    coupling = 2 * len(PAIR_LABELS) * len(INTENSITY_LABELS)  # bound index of (-inf, 0]
-    weights = np.arange(1, 3 * n_var + 1).reshape(3, n_var)  # index + 1: only nonzeros are kept
+    n_weights, n_bounds = 3 * n_var, 2 * len(PAIR_LABELS) * len(INTENSITY_LABELS)
+    weights = np.arange(1, n_weights + 1).reshape(3, n_var)  # index + 1: only nonzeros are kept
     coupled = np.zeros((6 + n_var, 2 * n_var), dtype=int)
     coupled[:3, :n_var] = coupled[3:6, n_var:] = weights
-    coupled[6:, :n_var] = np.diag(np.full(n_var, 3 * n_var + 1))  # the -1 entries
-    coupled[6:, n_var:] = np.diag(np.full(n_var, 3 * n_var + 2))  # the +1 entries
+    coupled[6:, :n_var] = np.diag(np.full(n_var, n_weights + 1))  # the -1 entries
+    coupled[6:, n_var:] = np.diag(np.full(n_var, n_weights + 2))  # the +1 entries
     blocks, bound_at, objective = [], [], []
     for pair, observation, target, _ in _PROGRAMS:
         q_rows = [3 * pair + k for k in range(3)]
         qe_rows = [3 * (len(PAIR_LABELS) + pair) + k for k in range(3)]
         if tight_z_bounds and observation == 1:
             block, target = coupled, n_var + target
-            bound_at += q_rows + qe_rows + [coupling] * n_var
+            bound_at += q_rows + qe_rows + [n_bounds] * n_var
         else:
             block = weights
             bound_at += (q_rows, qe_rows)[observation]
         blocks.append(block)
         objective.append(np.eye(1, block.shape[1], target)[0])
-    matrix = csc_array(block_diag(blocks, format="csc"))
-    matrix.eliminate_zeros()
-    matrix.sort_indices()
-    matrix.data -= 1
-    bound_at = np.array(bound_at)
+    entry_at, indices, indptr = _csc(block_diag(*blocks))
+    entry_at, bound_at = entry_at - 1, np.array(bound_at)
+    col0 = np.cumsum([0] + [block.shape[1] for block in blocks])
+    point = np.arange(n_points)[:, None]
+    rows = (bound_at + n_bounds * np.where(bound_at < n_bounds, point, n_points - 1)).ravel()
     layout = LinearPrograms(
-        objective=np.concatenate(objective),
-        matrix=matrix,
-        lo=bound_at,
-        hi=bound_at,
-        col0=np.cumsum([0] + [block.shape[1] for block in blocks]),
-        sign=np.array([sign for *_, sign in _PROGRAMS]),
+        objective=np.tile(np.concatenate(objective), n_points),
+        data=(entry_at + n_weights * np.where(entry_at < n_weights, point, n_points - 1)).ravel(),
+        indices=(indices + len(bound_at) * point).ravel().astype(np.int32),
+        indptr=np.append((indptr[:-1] + len(entry_at) * point).ravel(), n_points * len(entry_at)).astype(np.int32),
+        lo=rows,
+        hi=rows,
+        col0=np.append((col0[:-1] + col0[-1] * point).ravel(), n_points * col0[-1]),
+        sign=np.tile([sign for *_, sign in _PROGRAMS], n_points),
     )
-    for shared in (layout.objective, layout.col0, layout.sign, matrix.indices, matrix.indptr):
+    for shared in vars(layout).values():
         shared.flags.writeable = False
     return layout
 
 
-def bound_programs(
-    table: LegStatsTable,
-    intensities: dict[str, float],
-    n_cut: int = DEFAULT_N_CUT,
-    tight_z_bounds: bool = False,
-    fluctuation: float = 0.0,
-) -> LinearPrograms:
-    """The 22 programs of one point, in the order ``read_bounds`` consumes
-    their optima: per pair, min and max of Y1, then of z1, then (ZZ only) of Y0.
+def bound_programs(observations, n_cut: int = DEFAULT_N_CUT, tight_z_bounds: bool = False) -> LinearPrograms:
+    """The 22 programs of each observed point, stacked in point order.
+
+    ``observations`` holds one (table, intensities, fluctuation) per point. A
+    point's programs come in the order ``read_bounds`` consumes their optima:
+    per pair, min and max of Y1, then of z1, then (ZZ only) of Y0.
 
     Each observed value o of an intensity gives one ranged row: the
     Poisson-weighted sum of the variables must bracket o up to the truncated
     tail mass, widened by ``fluctuation * sqrt(o)`` on both sides.
-    ``fluctuation`` is u / sqrt(N) (see ``ChannelSpec``); the default zero
-    treats the observations as exact. ``tight_z_bounds`` switches the error
-    programs to the coupled form with z_n <= Y_n instead of the plain z_n <= 1
-    box. Each row is divided by its infinity norm, since the Poisson weights
-    span many orders of magnitude.
+    ``fluctuation`` is u / sqrt(N) (see ``ChannelSpec``); zero treats the
+    observations as exact. ``tight_z_bounds`` switches the error programs to
+    the coupled form with z_n <= Y_n instead of the plain z_n <= 1 box. Each
+    row is divided by its infinity norm, since the Poisson weights span many
+    orders of magnitude. All points' tables are filled at once, then gathered.
     """
-    weights = _poisson_weights([intensities[k] for k in INTENSITY_LABELS], n_cut)
-    stats = np.array([[table.entries[(k, pair)] for k in INTENSITY_LABELS] for pair in PAIR_LABELS])
-    observed = np.stack([stats[..., 0], stats[..., 0] * stats[..., 1]])  # Q and Q*E by pair and intensity
-    tail = 1.0 - weights.sum(axis=1)
-    spread = fluctuation * np.sqrt(np.maximum(observed, 0.0))
-    scale = weights.max(axis=1)
+    tables, intensities, fluctuations = zip(*observations)
+    n_points = len(tables)
+    weights = _poisson_weights([i[k] for i in intensities for k in INTENSITY_LABELS], n_cut).reshape(n_points, 3, -1)
+    stats = np.array([[table.entries[(k, pair)] for pair in PAIR_LABELS for k in INTENSITY_LABELS] for table in tables])
+    stats = stats.reshape(n_points, len(PAIR_LABELS), len(INTENSITY_LABELS), 2)
+    # Q and Q*E by point, observation, pair and intensity
+    observed = np.stack([stats[..., 0], stats[..., 0] * stats[..., 1]], axis=1)
+    tail = 1.0 - weights.sum(axis=2)[:, None, None]
+    spread = np.reshape(fluctuations, (-1, 1, 1, 1)) * np.sqrt(np.maximum(observed, 0.0))
+    scale = weights.max(axis=2)
     scale[scale == 0.0] = 1.0
-    lo = np.append((observed - spread - tail) / scale, -np.inf)
-    hi = np.append((observed + spread) / scale, 0.0)
-    coefficients = np.append(weights / scale[:, None], (-1.0, 1.0))
-    layout = _layout(n_cut, tight_z_bounds)
-    index = layout.matrix
-    matrix = csc_array((coefficients[index.data], index.indices, index.indptr), shape=index.shape)
-    return replace(layout, matrix=matrix, lo=lo[layout.lo], hi=hi[layout.hi])
+    lo = np.append((observed - spread - tail) / scale[:, None, None], -np.inf)
+    hi = np.append((observed + spread) / scale[:, None, None], 0.0)
+    coefficients = np.append(weights / scale[..., None], (-1.0, 1.0))
+    at = _layout(n_cut, tight_z_bounds, n_points)
+    return LinearPrograms(
+        at.objective, coefficients[at.data], at.indices, at.indptr, lo[at.lo], hi[at.hi], at.col0, at.sign
+    )
 
 
 def read_bounds(values) -> BoundsSet:
@@ -307,5 +315,5 @@ def estimate_bounds(
     arguments), solves them in one ``solve_lps`` call and reads them with
     ``read_bounds``; any infeasible program raises ``InfeasibleError``.
     """
-    optima, _ = solve_lps(bound_programs(table, intensities, n_cut, tight_z_bounds, fluctuation))
+    optima, _ = solve_lps(bound_programs([(table, intensities, fluctuation)], n_cut, tight_z_bounds))
     return read_bounds(optima.tolist())

@@ -3,8 +3,10 @@
 These deliberately avoid the closed forms under test: gains are rebuilt from
 truncated Poisson/binomial sums, detector amplitudes from the general
 six-state Bloch-sphere model, and LPs are re-solved by brute-force vertex
-enumeration. Keep this module free of imports from the code paths it checks;
-from ``photonics`` it takes only the ``ChannelSpec`` parameter record.
+enumeration, and the decoy programs by a frozen copy of their one-point
+builder and of the stacking that once joined them. Keep this module free of
+imports from the code paths it checks; from ``photonics`` it takes only the
+``ChannelSpec`` parameter record.
 The vertex oracle lives in ``rfiqsdc.cli`` because the shipped ``selftest``
 command uses it too; it shares no code with the ``decoy`` LP path it checks,
 so one copy serves both.
@@ -12,7 +14,12 @@ so one copy serves both.
 
 from __future__ import annotations
 
+import functools
 import math
+from types import SimpleNamespace
+
+import numpy as np
+from scipy.sparse import block_diag, csc_array
 
 from rfiqsdc.cli import vertex_enumeration_optimum  # noqa: F401  (re-exported for the tests)
 from rfiqsdc.photonics import ChannelSpec
@@ -136,3 +143,94 @@ def full_search_max_attenuation(
         else:
             hi = mid
     return lo, lo_point
+
+
+# The decoy program builder as it stood before programs were built a chunk at a
+# time: one point's programs from scalar Poisson weights through a sparse CSC
+# index, and ``stack`` to join several points' programs. The pipeline's
+# programs must equal these bit for bit.
+_INTENSITIES = ("signal", "decoy1", "decoy2")
+_PROGRAM_SIGNS = (1.0, -1.0)  # minimize, then maximize
+_PROGRAMS = tuple(
+    (pair, observation, target, sign)
+    for pair, label in enumerate(_RETAINED_PAIRS)
+    for observation, target in ((0, 1), (1, 1), (0, 0))[: 3 if label == "ZZ" else 2]
+    for sign in _PROGRAM_SIGNS
+)
+
+
+@functools.cache
+def _point_layout(n_cut, tight_z_bounds):
+    n_var = n_cut + 1
+    coupling = 2 * len(_RETAINED_PAIRS) * len(_INTENSITIES)  # bound index of (-inf, 0]
+    weights = np.arange(1, 3 * n_var + 1).reshape(3, n_var)  # index + 1: only nonzeros are kept
+    coupled = np.zeros((6 + n_var, 2 * n_var), dtype=int)
+    coupled[:3, :n_var] = coupled[3:6, n_var:] = weights
+    coupled[6:, :n_var] = np.diag(np.full(n_var, 3 * n_var + 1))  # the -1 entries
+    coupled[6:, n_var:] = np.diag(np.full(n_var, 3 * n_var + 2))  # the +1 entries
+    blocks, bound_at, objective = [], [], []
+    for pair, observation, target, _ in _PROGRAMS:
+        q_rows = [3 * pair + k for k in range(3)]
+        qe_rows = [3 * (len(_RETAINED_PAIRS) + pair) + k for k in range(3)]
+        if tight_z_bounds and observation == 1:
+            block, target = coupled, n_var + target
+            bound_at += q_rows + qe_rows + [coupling] * n_var
+        else:
+            block = weights
+            bound_at += (q_rows, qe_rows)[observation]
+        blocks.append(block)
+        objective.append(np.eye(1, block.shape[1], target)[0])
+    matrix = csc_array(block_diag(blocks, format="csc"))
+    matrix.eliminate_zeros()
+    matrix.sort_indices()
+    matrix.data -= 1
+    col0 = np.cumsum([0] + [block.shape[1] for block in blocks])
+    return np.concatenate(objective), matrix, np.array(bound_at), col0, np.array([sign for *_, sign in _PROGRAMS])
+
+
+def frozen_bound_programs(table, intensities, n_cut=10, tight_z_bounds=False, fluctuation=0.0):
+    """One point's 22 decoy programs, built as the package once built them."""
+    weights = np.array([[poisson_pmf(intensities[k], n) for n in range(n_cut + 1)] for k in _INTENSITIES])
+    stats = np.array([[table.entries[(k, pair)] for k in _INTENSITIES] for pair in _RETAINED_PAIRS])
+    observed = np.stack([stats[..., 0], stats[..., 0] * stats[..., 1]])  # Q and Q*E by pair and intensity
+    tail = 1.0 - weights.sum(axis=1)
+    spread = fluctuation * np.sqrt(np.maximum(observed, 0.0))
+    scale = weights.max(axis=1)
+    scale[scale == 0.0] = 1.0
+    lo = np.append((observed - spread - tail) / scale, -np.inf)
+    hi = np.append((observed + spread) / scale, 0.0)
+    coefficients = np.append(weights / scale[:, None], (-1.0, 1.0))
+    objective, index, bound_at, col0, sign = _point_layout(n_cut, tight_z_bounds)
+    matrix = csc_array((coefficients[index.data], index.indices, index.indptr), shape=index.shape)
+    return SimpleNamespace(
+        objective=objective, data=matrix.data, indices=matrix.indices, indptr=matrix.indptr,
+        lo=lo[bound_at], hi=hi[bound_at], col0=col0, sign=sign,
+    )
+
+
+def stack(programs):
+    """The block-diagonal program of several programs, their blocks in order,
+    of the type of the first."""
+    if len(programs) == 1:
+        return programs[0]
+    rows = np.cumsum([0] + [len(p.lo) for p in programs])
+    cols = np.cumsum([0] + [len(p.objective) for p in programs])
+    nnz = np.cumsum([0] + [len(p.data) for p in programs])
+    matrix = csc_array(
+        (
+            np.concatenate([p.data for p in programs]),
+            np.concatenate([p.indices + r for p, r in zip(programs, rows)]),
+            np.concatenate([[0]] + [p.indptr[1:] + k for p, k in zip(programs, nnz)]),
+        ),
+        shape=(rows[-1], cols[-1]),
+    )
+    return type(programs[0])(
+        objective=np.concatenate([p.objective for p in programs]),
+        data=matrix.data,
+        indices=matrix.indices,
+        indptr=matrix.indptr,
+        lo=np.concatenate([p.lo for p in programs]),
+        hi=np.concatenate([p.hi for p in programs]),
+        col0=np.concatenate([p.col0[:-1] + c for p, c in zip(programs, cols)] + [cols[-1:]]),
+        sign=np.concatenate([p.sign for p in programs]),
+    )

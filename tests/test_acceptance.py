@@ -308,7 +308,7 @@ def test_criterion_08_lp_solver_oracle_and_speed():
     # one production call: the 22 programs of a point, solved together
     spec = ChannelSpec(attenuation_db=6.0, beta_rad=math.radians(25.0))
     intensities = {"signal": 0.05, "decoy1": 0.0025, "decoy2": 0.0005}
-    programs = bound_programs(ba_observed(spec, intensities), intensities, DEFAULT_N_CUT)
+    programs = bound_programs([(ba_observed(spec, intensities), intensities, 0.0)], DEFAULT_N_CUT)
     solve_lps(programs)  # warm-up
     start = time.perf_counter()
     for _ in range(5):

@@ -1,12 +1,15 @@
 """LP construction, solver accuracy and the bound-composition rules."""
 
 import math
+import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.sparse import csc_array
 
-from oracle_utils import true_n_photon_stats, vertex_enumeration_optimum
+from oracle_utils import frozen_bound_programs, stack, true_n_photon_stats, vertex_enumeration_optimum
 from rfiqsdc import decoy, photonics
 from rfiqsdc.decoy import (
     DEFAULT_N_CUT,
@@ -16,17 +19,17 @@ from rfiqsdc.decoy import (
     c_lower_bound,
     estimate_bounds,
     solve_lps,
-    stack,
 )
 from rfiqsdc.photonics import (
     INTENSITY_LABELS,
     PAIR_LABELS,
     ChannelSpec,
     LegStatsTable,
+    NoClicksError,
     ba_observed,
     poisson_pn,
 )
-from rfiqsdc.pipeline import evaluate_point
+from rfiqsdc.pipeline import evaluate_point, evaluate_points
 
 
 def make_observations(spec, mu, what="gain"):
@@ -66,9 +69,15 @@ def ranged(rows):
     return a, np.array(lo), np.array(hi)
 
 
+def matrix_of(programs):
+    """The row matrix of ``programs`` as a scipy CSC array."""
+    shape = (len(programs.lo), len(programs.objective))
+    return csc_array((programs.data, programs.indices, programs.indptr), shape=shape)
+
+
 def blocks_of(programs):
     """Each block of ``programs`` as a program of its own."""
-    dense = programs.matrix.toarray()
+    dense = matrix_of(programs).toarray()
     for b in range(len(programs)):
         cols = slice(programs.col0[b], programs.col0[b + 1])
         rows = np.flatnonzero(dense[:, cols].any(axis=1))
@@ -78,25 +87,40 @@ def blocks_of(programs):
         )
 
 
+PROGRAM_FIELDS = ("objective", "data", "indices", "indptr", "lo", "hi", "col0", "sign")
+
+
+def observation(atten, beta_deg, mu, u_sigma):
+    """One production point's (table, intensities, fluctuation)."""
+    spec = ChannelSpec(attenuation_db=atten, beta_rad=math.radians(beta_deg), u_sigma=u_sigma)
+    _, intensities, table = make_observations(spec, mu)
+    return table, intensities, spec.fluctuation
+
+
+def assert_same_programs(programs, reference):
+    for name in PROGRAM_FIELDS:
+        assert np.array_equal(getattr(programs, name), getattr(reference, name)), name
+
+
 class TestLpConstruction:
     def test_shape(self):
         table = table_from_yields([2e-4, 0.05], [1e-4, 0.01])
-        plain = bound_programs(table, INTENSITIES, n_cut=10)
+        plain = bound_programs([(table, INTENSITIES, 0.0)], n_cut=10)
         # 5 pairs x {Y1, z1} x {min, max}, plus the ZZ vacuum yield; 3 ranged rows each
         assert len(plain) == 22
-        assert plain.matrix.shape == (66, 22 * 11)
-        assert plain.matrix.nnz == 22 * 3 * 11
+        assert matrix_of(plain).shape == (66, 22 * 11)
+        assert matrix_of(plain).nnz == 22 * 3 * 11
         assert np.all(np.diff(plain.col0) == 11)
         assert np.all(plain.lo <= plain.hi)
-        assert np.all(np.abs(plain.matrix.toarray()).max(axis=1) == 1.0)  # unit inf-norm rows
+        assert np.all(np.abs(matrix_of(plain).toarray()).max(axis=1) == 1.0)  # unit inf-norm rows
         targets = [np.flatnonzero(plain.objective[plain.col0[b] : plain.col0[b + 1]]) for b in range(22)]
         assert [int(t[0]) for t in targets[:6]] == [1, 1, 1, 1, 0, 0]
         assert list(plain.sign[:6]) == [1.0, -1.0] * 3
 
-        tight = bound_programs(table, INTENSITIES, n_cut=10, tight_z_bounds=True)
+        tight = bound_programs([(table, INTENSITIES, 0.0)], n_cut=10, tight_z_bounds=True)
         # the 10 z1 programs run over (Y, z) with the 6 observation rows and 11 couplings
         assert len(tight) == 22
-        assert tight.matrix.shape == (12 * 3 + 10 * 17, 12 * 11 + 10 * 22)
+        assert matrix_of(tight).shape == (12 * 3 + 10 * 17, 12 * 11 + 10 * 22)
         assert np.sum(np.isneginf(tight.lo)) == 10 * 11
         assert np.all(tight.hi[np.isneginf(tight.lo)] == 0.0)
         z_block = tight.col0[2]
@@ -104,7 +128,7 @@ class TestLpConstruction:
 
         # each row brackets its observation o up to the truncated tail mass,
         # (o - tail) / s <= row . x <= o / s with s the row's largest weight
-        short = bound_programs(table, INTENSITIES, n_cut=2)
+        short = bound_programs([(table, INTENSITIES, 0.0)], n_cut=2)
         for k, label in enumerate(INTENSITY_LABELS):
             weights = [poisson_pn(INTENSITIES[label], n) for n in range(3)]
             q = table.entries[(label, "ZZ")][0]
@@ -113,14 +137,14 @@ class TestLpConstruction:
 
     def test_truth_is_feasible(self):
         y0, y1 = 2e-4, 0.05
-        optima, _ = solve_lps(bound_programs(table_from_yields([y0, y1], [0.0, 0.0]), INTENSITIES, n_cut=10))
+        optima, _ = solve_lps(bound_programs([(table_from_yields([y0, y1], [0.0, 0.0]), INTENSITIES, 0.0)], n_cut=10))
         y1_min, y0_min, y0_max = optima[0], optima[4], optima[5]
         assert y1_min <= y1 + 1e-12
         assert y0_min - 1e-12 <= y0 <= y0_max + 1e-12
 
     def test_zero_error_channel(self):
         table = table_from_yields([2e-4, 0.05], [0.0, 0.0])
-        optima, _ = solve_lps(bound_programs(table, INTENSITIES, n_cut=10))
+        optima, _ = solve_lps(bound_programs([(table, INTENSITIES, 0.0)], n_cut=10))
         # only the truncated tail slack survives when all observed errors vanish
         z1_max = [optima[b] for b in (3, 9, 13, 17, 21)]
         assert max(z1_max) <= 1e-10
@@ -129,7 +153,7 @@ class TestLpConstruction:
         z1 = 0.01
         table = table_from_yields([2e-4, 0.05], [1e-4, z1])
         for tight in (False, True):
-            optima, _ = solve_lps(bound_programs(table, INTENSITIES, n_cut=10, tight_z_bounds=tight))
+            optima, _ = solve_lps(bound_programs([(table, INTENSITIES, 0.0)], n_cut=10, tight_z_bounds=tight))
             for lo_block in (2, 8, 12, 16, 20):
                 assert optima[lo_block] - 1e-9 <= z1 <= optima[lo_block + 1] + 1e-9
 
@@ -189,7 +213,7 @@ class TestSolver:
 
         spec = ChannelSpec(attenuation_db=6.0, beta_rad=math.radians(25.0))
         _, intensities, table = make_observations(spec, 0.05)
-        programs = bound_programs(table, intensities, DEFAULT_N_CUT)
+        programs = bound_programs([(table, intensities, 0.0)], DEFAULT_N_CUT)
         solve_lps(programs)  # warm scipy up before timing
         start = time.perf_counter()
         for _ in range(4):
@@ -200,7 +224,7 @@ class TestSolver:
     def test_determinism(self):
         spec = ChannelSpec(attenuation_db=6.0, beta_rad=0.3)
         _, intensities, table = make_observations(spec, 0.05)
-        programs = bound_programs(table, intensities, DEFAULT_N_CUT)
+        programs = bound_programs([(table, intensities, 0.0)], DEFAULT_N_CUT)
         values1, x1 = solve_lps(programs)
         values2, x2 = solve_lps(programs)
         assert np.array_equal(values1, values2)
@@ -248,7 +272,7 @@ def milp_solution(programs):
     """``scipy.optimize.milp``'s result for ``programs``, posed as ``solve_lps`` poses them."""
     return milp(
         programs.objective * np.repeat(programs.sign, np.diff(programs.col0)),
-        constraints=LinearConstraint(programs.matrix, programs.lo, programs.hi),
+        constraints=LinearConstraint(matrix_of(programs), programs.lo, programs.hi),
         bounds=Bounds(0.0, 1.0),
         options={"presolve": False},
     )
@@ -260,9 +284,7 @@ class TestAgreesWithMilp:
 
     @staticmethod
     def production_programs(atten, beta_deg, mu, tight, u_sigma):
-        spec = ChannelSpec(attenuation_db=atten, beta_rad=math.radians(beta_deg), u_sigma=u_sigma)
-        _, intensities, table = make_observations(spec, mu)
-        return bound_programs(table, intensities, DEFAULT_N_CUT, tight, fluctuation=spec.fluctuation)
+        return bound_programs([observation(atten, beta_deg, mu, u_sigma)], DEFAULT_N_CUT, tight)
 
     def assert_agree(self, programs):
         reference = milp_solution(programs)
@@ -290,10 +312,121 @@ class TestAgreesWithMilp:
         q_signal, e_signal = entries[("signal", "XX")]
         entries[("decoy2", "XX")] = (100.0 * q_signal, e_signal)  # no yields in [0, 1] give this
         broken = LegStatsTable(entries=entries, q_ba_signal=table.q_ba_signal)
-        programs = bound_programs(broken, intensities, DEFAULT_N_CUT, fluctuation=spec.fluctuation)
+        programs = bound_programs([(broken, intensities, spec.fluctuation)], DEFAULT_N_CUT)
         assert milp_solution(programs).status == 2
         with pytest.raises(InfeasibleError):
             solve_lps(programs)
+
+
+class TestChunkBuilder:
+    """``bound_programs`` fills one chunk's tables and gathers them through a
+    cached stacked index; its arrays must equal those of the one-point builder
+    it replaced, stacked, exactly."""
+
+    @pytest.mark.parametrize("u_sigma", [0.0, 5.0])
+    @pytest.mark.parametrize("tight", [False, True], ids=["plain", "tight"])
+    @pytest.mark.parametrize("beta_deg", [0.0, 45.0])
+    def test_matches_frozen_builder(self, beta_deg, tight, u_sigma):
+        points = [observation(atten, beta_deg, mu, u_sigma) for atten, mu in
+                  ((2.0, 0.1), (6.0, 0.004), (10.0, 0.02), (11.3, 0.0123), (12.0, 0.5))]
+        for n_points in range(1, 6):
+            chunk = points[:n_points]
+            reference = stack([frozen_bound_programs(*point[:2], DEFAULT_N_CUT, tight, point[2]) for point in chunk])
+            assert_same_programs(bound_programs(chunk, DEFAULT_N_CUT, tight), reference)
+
+    def test_chunk_without_its_no_clicks_point(self, monkeypatch):
+        dead_mu = 0.03
+        ba_observed_, bound_programs_ = photonics.ba_observed, decoy.bound_programs
+        chunks = []
+
+        def faulty(spec, intensities):
+            if intensities["signal"] == dead_mu:
+                raise NoClicksError("no clicks at all")
+            return ba_observed_(spec, intensities)
+
+        def recording(observations, *args):
+            chunks.append((observations, args, bound_programs_(observations, *args)))
+            return chunks[-1][2]
+
+        monkeypatch.setattr(photonics, "ba_observed", faulty)
+        monkeypatch.setattr(decoy, "bound_programs", recording)
+        channel = ChannelSpec(u_sigma=5.0)
+        results = evaluate_points(channel, [(8.0, 0.0, mu) for mu in (0.004, 0.01, dead_mu, 0.05, 0.1)])
+        assert [r.flags[:1] for r in results] == [[], [], ["no_clicks: no clicks at all"], [], []]
+        ((observations, args, programs),) = chunks
+        assert [intensities["signal"] for _, intensities, _ in observations] == [0.004, 0.01, 0.05, 0.1]
+        assert_same_programs(programs, stack([frozen_bound_programs(t, i, *args, f) for t, i, f in observations]))
+
+    def test_shared_index_is_read_only(self):
+        programs = bound_programs([observation(6.0, 0.0, 0.05, 5.0)] * 2, DEFAULT_N_CUT, True)
+        for name in ("objective", "indices", "indptr", "col0", "sign"):
+            with pytest.raises(ValueError):
+                getattr(programs, name)[0] = 1
+
+
+class TestPoissonWeights:
+    def test_bit_equal_to_poisson_pn(self):
+        # 1e-5 is the smallest decoy of the default search (0.01 x mu_lo); 0 is a vacuum decoy
+        intensities = [*np.geomspace(1e-6, 2.0, 31), 0.01 * 1e-3, 0.0]
+        for n_cut in range(2, 41):
+            weights = decoy._poisson_weights(intensities, n_cut)
+            reference = np.array([[poisson_pn(m, n) for n in range(n_cut + 1)] for m in intensities])
+            assert weights.shape == reference.shape
+            assert weights.tobytes() == reference.tobytes()
+            assert len(decoy._log_factorials(n_cut)) == n_cut + 1
+
+
+def outcome(programs):
+    """``solve_lps``'s optima and x for ``programs``, or its error's type and message."""
+    try:
+        return solve_lps(programs)
+    except RuntimeError as exc:
+        return type(exc), str(exc)
+
+
+class TestSharedSolver:
+    """Each thread reuses one HiGHS solver; every solve on it must give what a
+    fresh solver gives, whatever was solved on it before."""
+
+    def test_reused_solver_matches_fresh(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        programs = [
+            bound_programs([observation(atten, beta_deg, mu, u_sigma)], DEFAULT_N_CUT, tight)
+            for atten in (0.0, 4.0, 8.0, 11.3, 12.0)
+            for beta_deg in (0.0, 45.0)
+            for mu in (0.004, 0.02, 0.1)
+            for tight in (False, True)
+            for u_sigma in (0.0, 5.0)
+        ]
+        for tight, beta_deg in ((False, 0.0), (True, 45.0)):
+            for atten in (2.0, 10.0, 11.5):
+                mus = np.geomspace(1e-3, 0.5, 17)[rng.choice(17, size=5, replace=False)]
+                chunk = [observation(atten, beta_deg, mu, 5.0) for mu in mus]
+                programs.append(bound_programs(chunk, DEFAULT_N_CUT, tight))
+        infeasible = LinearPrograms.single("minimize", [1.0], [[1.0]], [2.0], [math.inf])
+        model_error = replace(  # a row index past the last row: HiGHS refuses the model
+            LinearPrograms.single("minimize", [1.0, 1.0], [[1.0, 2.0]], [0.5], [1.0]),
+            indices=np.array([0, 1], dtype=np.int32),
+        )
+        programs = [programs[i] for i in rng.permutation(len(programs))]
+        for k in range(0, len(programs), 7):
+            programs.insert(k, (infeasible, model_error)[k // 7 % 2])
+
+        solve_lps(LinearPrograms.single("maximize", [1.0], np.empty((0, 1)), [], []))
+        shared = decoy._SOLVERS.highs
+        for program in programs:
+            reused = outcome(program)
+            with monkeypatch.context() as fresh:
+                fresh.setattr(decoy, "_SOLVERS", threading.local())
+                reference = outcome(program)
+            assert type(reused[0]) is type(reference[0])
+            if isinstance(reference[0], type):
+                assert reused == reference
+            else:
+                assert np.array_equal(reused[0], reference[0])
+                assert np.array_equal(reused[1], reference[1])
+        assert decoy._SOLVERS.highs is shared
+        assert outcome(infeasible)[0] is outcome(model_error)[0] is InfeasibleError
 
 
 class TestCLowerBound:
@@ -359,8 +492,8 @@ class TestEstimateBounds:
     def test_fluctuation_widens_intervals(self):
         spec = ChannelSpec(attenuation_db=10.0, beta_rad=math.radians(45.0))
         obs, intensities, table = make_observations(spec, 0.015)
-        exact_rows = bound_programs(table, intensities, DEFAULT_N_CUT)
-        wide_rows = bound_programs(table, intensities, DEFAULT_N_CUT, fluctuation=5e-6)
+        exact_rows = bound_programs([(table, intensities, 0.0)], DEFAULT_N_CUT)
+        wide_rows = bound_programs([(table, intensities, 5e-6)], DEFAULT_N_CUT)
         assert np.all(wide_rows.lo < exact_rows.lo)
         assert np.all(wide_rows.hi > exact_rows.hi)
         # rows 18-20 bound the XX gains (the 7th program, min Y1 of XX), each

@@ -1,6 +1,8 @@
 """End-to-end evaluation, intensity optimization, scans and cutoff search."""
 
 import math
+import sys
+import threading
 
 import pytest
 from scipy.optimize._highspy import _core as highs
@@ -184,6 +186,34 @@ class TestEvaluatePoints:
         monkeypatch.setattr(decoy, "solve_lps", failure)
         with pytest.raises(RuntimeError, match="forced"):
             evaluate_points(ChannelSpec(), [(6.0, 0.0, 0.03), (8.0, 0.0, 0.03)])
+
+
+    def test_threads_match_serial(self):
+        # each thread solves on its own HiGHS solver, so concurrent callers get
+        # the serial results bit for bit
+        estimator = EstimatorSpec(tight_z_bounds=True)
+        requests = [
+            [(atten, math.radians(beta_deg), mu) for atten in (2.0, 7.0, 11.0) for mu in (0.004, 0.02, 0.08)]
+            for beta_deg in (0.0, 15.0, 30.0, 45.0)
+        ]
+        serial = [evaluate_points(ChannelSpec(), points, estimator) for points in requests]
+        threaded = [None] * len(requests)
+
+        def work(k):
+            threaded[k] = evaluate_points(ChannelSpec(), requests[k], estimator)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(len(requests))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert threaded == serial
 
 
 class TestOptimizeMu:
